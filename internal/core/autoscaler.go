@@ -516,10 +516,7 @@ func (as *Autoscaler) snapshot() *AutoscaleSnapshot {
 	if pl.res != nil && pl.res.Machine != nil {
 		s.CoresPerNode = pl.res.Machine.Spec.Node.Cores
 	}
-	s.TotalCores = s.Nodes * s.CoresPerNode
-	if m := s.YARN; m != nil && m.TotalVCores > 0 {
-		s.TotalCores = m.TotalVCores
-	}
+	s.TotalCores = pilotCoreCapacity(pl)
 	s.WaitingUnits, s.WaitingCores = view.WaitingUnits, view.WaitingCores
 	s.RunningUnits, s.RunningCores = view.RunningUnits, view.RunningCores
 	return s

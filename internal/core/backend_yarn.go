@@ -233,9 +233,10 @@ func (b *yarnBackend) YARNMetrics() *yarn.ClusterMetrics {
 }
 
 // YARNMetricsProvider is implemented by backends that run on a YARN
-// cluster and can report its metrics (used by tests and the repro
-// harness through Pilot.YARNMetrics, and by the "backfill" unit
-// scheduler for capacity estimates).
+// cluster and can report its full metrics snapshot (used by tests, the
+// repro harness and autoscale policies through Pilot.YARNMetrics).
+// Capacity estimates on the bind path do not go through it; they read
+// pilotCoreCapacity.
 type YARNMetricsProvider interface {
 	YARNMetrics() *yarn.ClusterMetrics
 }

@@ -22,8 +22,9 @@ import (
 // generation counter, so back-to-back reads (an autoscaler tick firing
 // right after a bind pass) reuse the counts; the cheap, live-changing
 // probes (pilot state, capacity, data-store bytes) are refreshed on
-// every call. A view is valid until the next scheduling event; consumers
-// read it synchronously and re-request rather than retain it.
+// every call, at a cost that does not grow with the session's history.
+// A view is valid until the next scheduling event; consumers read it
+// synchronously and re-request rather than retain it.
 type ClusterView struct {
 	// Now is the virtual time the view was (re)read.
 	Now sim.Duration
@@ -63,10 +64,10 @@ type PilotView struct {
 	// Nodes is the pilot's current allocation (Pilot.Capacity());
 	// CoresPerNode the machine's per-node core count.
 	Nodes, CoresPerNode int
-	// TotalCores estimates the pilot's core capacity: the connected YARN
-	// cluster's vcores when the pilot exposes cluster metrics, and
-	// Nodes × CoresPerNode otherwise — both track elastic resizes. Zero
-	// means the capacity is unknown.
+	// TotalCores estimates the pilot's core capacity (pilotCoreCapacity):
+	// the connected YARN cluster's vcores on a pilot with a YARN agent,
+	// and Nodes × CoresPerNode otherwise — both track elastic resizes.
+	// Zero means the capacity is unknown.
 	TotalCores int
 	// InFlightUnits counts units bound to the pilot that have not yet
 	// reached a final state; InFlightCores is their summed core demand.
@@ -245,12 +246,14 @@ func (um *UnitManager) auditView(v *ClusterView) {
 	}
 }
 
-// refreshProbes re-reads the cheap per-pilot live probes — pilot state
-// and capacity, YARN metrics, attached stores — and reports whether any
-// pilot has a live attached store. These change outside the manager's
-// event stream (a resize completing, a replica staging), so every
-// consumer re-probes rather than trusting the memoized view; the bind
-// loop calls this before each offer.
+// refreshProbes re-reads the cheap per-pilot live probes — pilot state,
+// capacity (a YARN pilot's live NodeManager vcores), attached stores —
+// and reports whether any pilot has a live attached store. These change
+// outside the manager's event stream (a resize completing, a replica
+// staging), so every consumer re-probes rather than trusting the
+// memoized view; the bind loop calls this before each offer. It
+// allocates nothing and costs O(pilots × NodeManagers), independent of
+// how many units or YARN applications have run.
 func (um *UnitManager) refreshProbes(v *ClusterView) bool {
 	anyData := false
 	for _, pv := range v.Pilots {
@@ -261,10 +264,7 @@ func (um *UnitManager) refreshProbes(v *ClusterView) bool {
 		if res := pl.Resource(); res != nil && res.Machine != nil {
 			pv.CoresPerNode = res.Machine.Spec.Node.Cores
 		}
-		pv.TotalCores = pv.Nodes * pv.CoresPerNode
-		if m := pl.YARNMetrics(); m != nil && m.TotalVCores > 0 {
-			pv.TotalCores = m.TotalVCores
-		}
+		pv.TotalCores = pilotCoreCapacity(pl)
 		pv.DataPilot = pl.DataPilot()
 		if pv.DataPilot != nil && pv.DataPilot.Failed() {
 			pv.DataPilot = nil // a killed store holds nothing to place by

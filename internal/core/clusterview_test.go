@@ -158,11 +158,99 @@ func TestClusterViewMemoizedOnGeneration(t *testing.T) {
 	e.eng.Close()
 }
 
+// runYARNHistory brings up two Mode I YARN pilots, the first with an
+// attached in-memory data pilot, and runs n one-core units to
+// completion on them under backfill, so each pilot's ResourceManager
+// carries a history of finished applications. It returns the idle
+// manager and its pilots (callers cancel the pilots when done), or a
+// nil manager after reporting a failure.
+func runYARNHistory(t testing.TB, p *sim.Proc, e *env, n int) (*UnitManager, []*Pilot) {
+	pm := NewPilotManager(e.session)
+	var pls []*Pilot
+	for i := 0; i < 2; i++ {
+		pl, err := pm.Submit(p, PilotDescription{
+			Resource: "tm", Nodes: 2, Runtime: 100 * time.Hour, Mode: ModeYARN,
+		})
+		if err != nil {
+			t.Error(err)
+			return nil, nil
+		}
+		pls = append(pls, pl)
+	}
+	dp, err := NewDataManager(e.session).AddPilot(data.PilotDescription{
+		Backend: data.BackendMem, Label: "hot", CapacityBytes: 1 << 30,
+	})
+	if err == nil {
+		err = pls[0].AttachDataPilot(dp)
+	}
+	if err != nil {
+		t.Error(err)
+		return nil, nil
+	}
+	um := newUM(t, e.session, WithScheduler(SchedulerBackfill))
+	for _, pl := range pls {
+		um.AddPilot(pl)
+	}
+	descs := make([]ComputeUnitDescription, n)
+	for i := range descs {
+		descs[i] = ComputeUnitDescription{Cores: 1,
+			Body: func(bp *sim.Proc, ctx *UnitContext) { bp.Sleep(time.Second) }}
+	}
+	units, err := um.Submit(p, descs)
+	if err != nil {
+		t.Error(err)
+		return nil, nil
+	}
+	um.WaitAll(p, units)
+	for _, u := range units {
+		if u.State() != UnitDone {
+			t.Errorf("unit %s: %v (%v)", u.ID, u.State(), u.Err)
+			return nil, nil
+		}
+	}
+	return um, pls
+}
+
+// TestBindProbesAllocateNothing gates the per-offer probe on a
+// deterministic counter rather than wall time: once YARN pilots have
+// run applications to completion, passCands.ensure and the
+// refreshProbes inside it allocate nothing per call, and read each YARN
+// pilot's capacity as its live NodeManager vcores.
+func TestBindProbesAllocateNothing(t *testing.T) {
+	e := newEnv(t, 4, fastProfile())
+	e.eng.Spawn("workload", func(p *sim.Proc) {
+		um, pls := runYARNHistory(t, p, e, 24)
+		if um == nil {
+			return
+		}
+		um.cands.ensure() // settle the candidate set after the last events
+		v := um.ensureView()
+		for _, pl := range pls {
+			if got, want := v.For(pl).TotalCores, pl.YARNMetrics().TotalVCores; got != want || got != 16 {
+				t.Errorf("pilot %s: probed %d cores, YARN metrics say %d, want 16", pl.ID, got, want)
+			}
+		}
+		if a := testing.AllocsPerRun(100, um.cands.ensure); a != 0 {
+			t.Errorf("passCands.ensure allocates %v per call, want 0", a)
+		}
+		if a := testing.AllocsPerRun(100, func() { um.refreshProbes(v) }); a != 0 {
+			t.Errorf("refreshProbes allocates %v per call, want 0", a)
+		}
+		for _, pl := range pls {
+			pl.Cancel()
+		}
+	})
+	e.eng.Run()
+	e.eng.Close()
+}
+
 // BenchmarkClusterView guards the snapshot-assembly cost on the bind hot
 // path: every offer builds candidates from a ClusterView, so its rebuild
 // (forced here by bumping the generation) plus the live-probe refresh
 // must stay cheap — and, since the incremental-accounting rework, flat in
-// the in-flight unit count — as the load grows.
+// the in-flight unit count — as the load grows. The yarn case probes two
+// Mode I YARN pilots whose ResourceManagers have finished thousands of
+// applications: its cost must not grow with that history.
 func BenchmarkClusterView(b *testing.B) {
 	for _, inflight := range []int{16, 256} {
 		b.Run(fmt.Sprintf("%dunits", inflight), func(b *testing.B) {
@@ -207,4 +295,27 @@ func BenchmarkClusterView(b *testing.B) {
 			}
 		})
 	}
+	b.Run("yarn-2000apps", func(b *testing.B) {
+		e := newEnv(b, 4, fastProfile())
+		e.eng.Spawn("workload", func(p *sim.Proc) {
+			um, pls := runYARNHistory(b, p, e, 2000)
+			if um == nil {
+				return
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				um.bumpGen()
+				if v := um.ClusterView(); v.For(pls[0]).TotalCores != 16 {
+					b.Errorf("view probed %d cores, want 16", v.For(pls[0]).TotalCores)
+					break
+				}
+			}
+			b.StopTimer()
+			for _, pl := range pls {
+				pl.Cancel()
+			}
+		})
+		e.eng.Run()
+		e.eng.Close()
+	})
 }

@@ -65,7 +65,7 @@ func fastProfile() BootstrapProfile {
 	return p
 }
 
-func newEnv(t *testing.T, nodes int, prof BootstrapProfile) *env {
+func newEnv(t testing.TB, nodes int, prof BootstrapProfile) *env {
 	t.Helper()
 	eng := sim.NewEngine()
 	m := cluster.New(eng, testSpec(nodes))

@@ -18,9 +18,9 @@ const (
 	// through the state-callback fabric.
 	SchedulerLeastLoaded = "least-loaded"
 	// SchedulerBackfill late-binds: units park in the manager's queue and
-	// bind only to Active pilots with free core capacity, consulting the
-	// pilot's YARN cluster metrics where available. Capacity freed by
-	// finishing units is backfilled immediately.
+	// bind only to Active pilots with free core capacity, a YARN pilot's
+	// capacity being its cluster's live NodeManager vcores. Capacity
+	// freed by finishing units is backfilled immediately.
 	SchedulerBackfill = "backfill"
 	// SchedulerLocality prefers the pilot holding the unit's input data:
 	// the replica bytes of ComputeUnitDescription.Inputs on the pilot's
@@ -54,23 +54,33 @@ type Candidate struct {
 	View *PilotView
 }
 
-// CoreCapacity estimates the pilot's total core capacity: the connected
-// YARN cluster's vcore count when the pilot exposes cluster metrics, and
-// the current allocation size (Pilot.Capacity() nodes × per-node cores)
-// otherwise — both track elastic resizes. Zero means the capacity is
-// unknown.
+// CoreCapacity estimates the pilot's total core capacity (see
+// pilotCoreCapacity): the offer-time view's figure, or a fresh probe on
+// hand-built candidates. Zero means the capacity is unknown.
 func (c *Candidate) CoreCapacity() int {
 	if c.View != nil {
 		return c.View.TotalCores
 	}
-	if m := c.Pilot.YARNMetrics(); m != nil && m.TotalVCores > 0 {
-		return m.TotalVCores
+	return pilotCoreCapacity(c.Pilot)
+}
+
+// pilotCoreCapacity is the one definition of a pilot's core capacity:
+// the connected YARN cluster's vcore count once a YARN agent is up, and
+// the current allocation size (Pilot.Capacity() nodes × per-node cores)
+// otherwise — both track elastic resizes. Zero means unknown. It
+// allocates nothing and costs O(NodeManagers) on YARN pilots, however
+// many applications the cluster has run.
+func pilotCoreCapacity(pl *Pilot) int {
+	if yb, ok := pl.backend.(*yarnBackend); ok && pl.agent != nil && yb.rm != nil {
+		if v := yb.rm.TotalVCores(); v > 0 {
+			return v
+		}
 	}
-	res := c.Pilot.Resource()
+	res := pl.Resource()
 	if res == nil || res.Machine == nil {
 		return 0
 	}
-	return c.Pilot.Capacity() * res.Machine.Spec.Node.Cores
+	return pl.Capacity() * res.Machine.Spec.Node.Cores
 }
 
 // FreeCores is CoreCapacity minus the cores already in flight.

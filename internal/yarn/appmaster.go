@@ -25,11 +25,14 @@ type AppMaster struct {
 func (am *AppMaster) App() *Application { return am.app }
 
 // Register announces the AM to the RM (one RPC). Must be called before
-// requesting containers.
+// requesting containers. An application that was killed meanwhile stays
+// KILLED.
 func (am *AppMaster) Register(p *sim.Proc) {
 	p.Sleep(am.rm.cfg.RPCLatency)
 	am.registered = true
-	am.app.state = AppRunning
+	if am.app.state == AppAccepted {
+		am.app.transition(AppRunning)
+	}
 	am.app.RegisterTime = p.Now()
 }
 

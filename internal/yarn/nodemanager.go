@@ -18,8 +18,9 @@ type NodeManager struct {
 	capacity ResourceSpec
 	free     ResourceSpec
 
-	// localized records applications whose resources are already on
-	// this node; the first container of an app pays the localization.
+	// localized records live applications whose resources are already
+	// on this node; the first container of an app pays the localization.
+	// Entries leave when their application reaches a terminal state.
 	localized map[int]bool
 
 	containers map[int]*Container
@@ -128,7 +129,10 @@ func (nm *NodeManager) localize(p *sim.Proc, app *Application) {
 	if nm.localized[app.ID] {
 		return
 	}
-	nm.localized[app.ID] = true
+	if !app.state.terminal() {
+		nm.localized[app.ID] = true
+		app.localizedOn = append(app.localizedOn, nm)
+	}
 	if nm.rm.cfg.Fetcher != nil && nm.rm.cfg.LocalizationBytes > 0 {
 		nm.rm.cfg.Fetcher.Fetch(p, nm.node, nm.rm.cfg.LocalizationBytes)
 		// Unpacking/linking into the container work dir.

@@ -89,6 +89,9 @@ type Application struct {
 	amContainer *Container
 	// live tracks all non-terminal containers including the AM's.
 	live map[int]*Container
+	// localizedOn lists the NodeManagers holding this application's
+	// localized resources; finish drops the app from each of them.
+	localizedOn []*NodeManager
 
 	SubmitTime   sim.Duration
 	AMStartTime  sim.Duration
@@ -98,6 +101,33 @@ type Application struct {
 
 // State returns the application state.
 func (a *Application) State() AppState { return a.state }
+
+// terminal reports whether s is FINISHED, FAILED or KILLED.
+func (s AppState) terminal() bool {
+	return s == AppFinished || s == AppFailed || s == AppKilled
+}
+
+// liveCounts returns the state's contribution to the ResourceManager's
+// pending and running application counts.
+func (s AppState) liveCounts() (pending, running int) {
+	switch s {
+	case AppSubmitted, AppAccepted:
+		return 1, 0
+	case AppRunning:
+		return 0, 1
+	}
+	return 0, 0
+}
+
+// transition moves the application to state, keeping the RM's
+// pending/running counts in step. Every state change goes through it.
+func (a *Application) transition(state AppState) {
+	p0, r0 := a.state.liveCounts()
+	p1, r1 := state.liveCounts()
+	a.rm.appsPending += p1 - p0
+	a.rm.appsRunning += r1 - r0
+	a.state = state
+}
 
 // FinalStatus returns the AM-reported final status (valid once Done).
 func (a *Application) FinalStatus() FinalStatus { return a.finalStatus }
@@ -134,8 +164,11 @@ type ResourceManager struct {
 	sched Scheduler
 	rng   *rand.Rand
 
-	nms  []*NodeManager
-	apps map[int]*Application
+	nms []*NodeManager
+	// appsPending/appsRunning count applications in SUBMITTED/ACCEPTED
+	// and RUNNING, maintained by Application.transition. The RM keeps
+	// no per-application state past a terminal transition.
+	appsPending, appsRunning int
 
 	nextApp  int
 	nextCont int
@@ -158,7 +191,6 @@ func NewResourceManager(e *sim.Engine, cfg Config, nodes []*cluster.Node) (*Reso
 		cfg:   cfg,
 		sched: sched,
 		rng:   sim.SubRNG(cfg.Seed, "yarn-rm"),
-		apps:  make(map[int]*Application),
 	}
 	for _, n := range nodes {
 		rm.nms = append(rm.nms, newNodeManager(rm, n))
@@ -300,13 +332,14 @@ func (rm *ResourceManager) Submit(p *sim.Proc, desc AppDesc) (*Application, erro
 		rm:         rm,
 		runner:     desc.Runner,
 		amSpec:     amSpec,
-		state:      AppAccepted,
+		state:      AppSubmitted,
 		Done:       sim.NewEvent(rm.eng),
 		allocated:  sim.NewQueue[*Container](rm.eng),
 		live:       make(map[int]*Container),
 		SubmitTime: rm.eng.Now(),
 	}
-	rm.apps[app.ID] = app
+	rm.appsPending++ // born SUBMITTED
+	app.transition(AppAccepted)
 	rm.sched.Add(&Request{app: app, spec: amSpec, count: 1, isAM: true})
 	rm.eng.Tracef("yarn: app %d (%s) accepted", app.ID, app.Name)
 	return app, nil
@@ -347,7 +380,7 @@ func (rm *ResourceManager) launchAM(c *Container) {
 	c.proc = rm.eng.Spawn(fmt.Sprintf("yarn:am:%s", app.Name), func(p *sim.Proc) {
 		defer func() {
 			c.terminal(ContainerCompleted, 0)
-			if app.state == AppRunning || app.state == AppAccepted {
+			if !app.state.terminal() {
 				// AM exited without unregistering.
 				app.finish(AppFailed, StatusFailed)
 			}
@@ -387,18 +420,16 @@ func (rm *ResourceManager) Preempt(c *Container) {
 // Kill terminates an application: all its containers are killed and the
 // app moves to KILLED.
 func (rm *ResourceManager) Kill(app *Application) {
-	if app.state == AppFinished || app.state == AppFailed || app.state == AppKilled {
-		return
-	}
 	app.finish(AppKilled, StatusKilled)
 }
 
-// finish moves the application to a terminal state, reaping containers.
+// finish moves the application to a terminal state, reaping containers
+// and dropping its localized resources from every node.
 func (a *Application) finish(state AppState, status FinalStatus) {
-	if a.state == AppFinished || a.state == AppFailed || a.state == AppKilled {
+	if a.state.terminal() {
 		return
 	}
-	a.state = state
+	a.transition(state)
 	a.finalStatus = status
 	a.FinishTime = a.rm.eng.Now()
 	a.rm.sched.RemoveApp(a.ID)
@@ -416,13 +447,28 @@ func (a *Application) finish(state AppState, status FinalStatus) {
 		}
 		c.terminal(ContainerKilled, ExitKilled)
 	}
+	for _, nm := range a.localizedOn {
+		delete(nm.localized, a.ID)
+	}
+	a.localizedOn = nil
 	a.Done.Trigger()
 	a.rm.eng.Tracef("yarn: app %d (%s) -> %s (%s)", a.ID, a.Name, state, status)
 }
 
+// TotalVCores sums the vcore capacity of the cluster's NodeManagers —
+// Metrics().TotalVCores without building the snapshot. O(NodeManagers).
+func (rm *ResourceManager) TotalVCores() int {
+	n := 0
+	for _, nm := range rm.nms {
+		n += nm.capacity.VCores
+	}
+	return n
+}
+
 // Metrics snapshots cluster state, like the RM REST API. Callers that
 // model the HTTP round trip should sleep RPCLatency themselves (the
-// agent scheduler does).
+// agent scheduler does). The cost is O(NodeManagers) plus the
+// scheduler's queue, independent of how many applications have run.
 func (rm *ResourceManager) Metrics() ClusterMetrics {
 	var m ClusterMetrics
 	for _, nm := range rm.nms {
@@ -435,14 +481,7 @@ func (rm *ResourceManager) Metrics() ClusterMetrics {
 	}
 	m.AllocatedMB = m.TotalMB - m.AvailableMB
 	m.AllocatedVCores = m.TotalVCores - m.AvailableVCores
-	for _, app := range rm.apps {
-		switch app.state {
-		case AppRunning:
-			m.AppsRunning++
-		case AppSubmitted, AppAccepted:
-			m.AppsPending++
-		}
-	}
+	m.AppsRunning, m.AppsPending = rm.appsRunning, rm.appsPending
 	m.PendingRequests = rm.sched.Pending()
 	return m
 }
