@@ -57,7 +57,10 @@ func (pl *Pilot) runAgent(p *sim.Proc, alloc *hpc.Allocation) {
 		a.bootstrap(p)
 		sched, err := a.backend.Bootstrap(p, a.bc)
 		if err != nil {
-			panic(fmt.Sprintf("core: agent %s: %s backend bootstrap: %v", pl.ID, a.backend.Name(), err))
+			// The pilot fails; returning runs teardown, and the job
+			// watcher leaves the final state alone.
+			pl.fail(fmt.Errorf("core: pilot %s: %s %w: %w", pl.ID, a.backend.Name(), ErrBackendBootstrap, err))
+			return
 		}
 		a.sched = sched
 		a.startComponents(p)

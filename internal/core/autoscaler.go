@@ -53,7 +53,9 @@ type AutoscaleSnapshot struct {
 	// View is the Unit-Manager's ClusterView the demand numbers above
 	// were read from — the whole-cluster picture (every pilot's capacity,
 	// demand split, and attached data-store occupancy) for policies that
-	// place capacity relative to other pilots, like data-aware.
+	// place capacity relative to other pilots, like data-aware. It is
+	// the manager's one view, refreshed in place on every read: read it
+	// during Decide, do not retain it across scheduling events.
 	View *ClusterView
 }
 

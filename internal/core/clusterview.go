@@ -16,15 +16,20 @@ import (
 // waiting and running cores, the attached data store's occupancy, and
 // the input bytes parked behind the manager's waiting units.
 //
-// Views are assembled by UnitManager.ClusterView in one place. The
-// expensive part — walking every in-flight unit to split waiting from
-// running demand — is memoized behind the manager's scheduling-event
-// generation counter, so back-to-back reads (an autoscaler tick firing
-// right after a bind pass) reuse the counts; the cheap, live-changing
-// probes (pilot state, capacity, data-store bytes) are refreshed on
-// every call, at a cost that does not grow with the session's history.
-// A view is valid until the next scheduling event; consumers read it
-// synchronously and re-request rather than retain it.
+// Each UnitManager owns exactly one view for its whole life:
+// NewUnitManager creates it and AddPilot appends the pilot's PilotView,
+// and every read refreshes that same view in place — no read allocates.
+// The manager-wide and per-pilot counts are copied from running sums
+// maintained incrementally on every unit transition, and the copy is
+// memoized behind the manager's scheduling-event generation counter, so
+// back-to-back reads (an autoscaler tick firing right after a bind
+// pass) skip it; the cheap, live-changing probes (pilot state,
+// capacity, data-store bytes) are refreshed on every call, at a cost
+// that does not grow with the session's history. Because the view is
+// shared and refreshed in place, it is valid only until the next
+// scheduling event: consumers read it synchronously and re-request
+// rather than retain it — a retained pointer silently shows whatever
+// the latest read refreshed it to.
 type ClusterView struct {
 	// Now is the virtual time the view was (re)read.
 	Now sim.Duration
@@ -150,47 +155,54 @@ func (v *ClusterView) HottestDataPilot() *PilotView {
 	return best
 }
 
-// bumpGen invalidates the memoized view; it runs on every scheduling
+// bumpGen invalidates the memoized counts; it runs on every scheduling
 // event (kick, submission, pilot added) and on every unit state change.
 func (um *UnitManager) bumpGen() { um.gen++ }
 
-// ClusterView assembles (or, when no scheduling event happened since
-// the last call, reuses) the manager's cluster snapshot and refreshes
-// its live probes. The unit-walk is the bind-hot-path cost
-// BenchmarkClusterView guards.
+// ClusterView refreshes the manager's one cluster snapshot in place —
+// its counts when a scheduling event happened since the last read, its
+// live probes always — and returns it. The refresh is the bind-hot-path
+// cost BenchmarkClusterView guards.
 func (um *UnitManager) ClusterView() *ClusterView {
 	v := um.ensureView()
 	um.refreshView(v)
 	return v
 }
 
-// ensureView returns the memoized counting pass, rebuilding it only when
-// the generation counter moved — the fix for demand() recounting every
-// in-flight unit on autoscaler ticks where nothing changed.
+// ensureView returns the manager's view with its counts current,
+// re-copying them only when the generation counter moved — the fix for
+// demand() recounting on autoscaler ticks where nothing changed.
 func (um *UnitManager) ensureView() *ClusterView {
-	if um.view == nil || um.viewGen != um.gen {
-		um.view = um.buildView()
+	if um.viewGen != um.gen {
+		um.buildView()
 		um.viewGen = um.gen
 	}
 	return um.view
 }
 
-// buildView copies the manager's running sums into a view — O(pilots),
-// no unit walk. The sums are maintained as deltas by setAcct (and the
-// park index's aggregates) on every unit transition; debugViewAudit
-// re-derives them by full walk and cross-checks.
-func (um *UnitManager) buildView() *ClusterView {
-	v := &ClusterView{byPilot: make(map[*Pilot]*PilotView, len(um.pilots))}
-	for _, pl := range um.pilots {
-		pv := &PilotView{Pilot: pl}
-		if ld := um.load[pl]; ld != nil {
-			pv.InFlightUnits, pv.InFlightCores = ld.units, ld.cores
-			pv.DoneUnits, pv.FailedUnits = ld.done, ld.failed
-			pv.WaitingUnits, pv.WaitingCores = ld.waitingUnits, ld.waitingCores
-			pv.RunningUnits, pv.RunningCores = ld.runningUnits, ld.runningCores
-		}
-		v.Pilots = append(v.Pilots, pv)
-		v.byPilot[pl] = pv
+// trackPilot gives a newly registered pilot its in-flight load and its
+// slot in the manager's view.
+func (um *UnitManager) trackPilot(pl *Pilot) {
+	um.pilots = append(um.pilots, pl)
+	um.load[pl] = &pilotLoad{}
+	pv := &PilotView{Pilot: pl}
+	um.view.Pilots = append(um.view.Pilots, pv)
+	um.view.byPilot[pl] = pv
+}
+
+// buildView copies the manager's running sums into its view in place —
+// O(pilots), no unit walk, no allocation. The sums are maintained as
+// deltas by setAcct (and the park index's aggregates) on every unit
+// transition; debugViewAudit re-derives them by full walk and
+// cross-checks.
+func (um *UnitManager) buildView() {
+	v := um.view
+	for _, pv := range v.Pilots {
+		ld := um.load[pv.Pilot]
+		pv.InFlightUnits, pv.InFlightCores = ld.units, ld.cores
+		pv.DoneUnits, pv.FailedUnits = ld.done, ld.failed
+		pv.WaitingUnits, pv.WaitingCores = ld.waitingUnits, ld.waitingCores
+		pv.RunningUnits, pv.RunningCores = ld.runningUnits, ld.runningCores
 	}
 	v.WaitingUnits = um.park.units + um.park.asideUnits - um.hiddenUnits + um.boundWaitingUnits
 	v.WaitingCores = um.park.cores + um.park.asideCores - um.hiddenCores + um.boundWaitingCores
@@ -199,7 +211,6 @@ func (um *UnitManager) buildView() *ClusterView {
 	if debugViewAudit {
 		um.auditView(v)
 	}
-	return v
 }
 
 // debugViewAudit turns on the full-walk cross-check of the incremental
@@ -251,7 +262,7 @@ func (um *UnitManager) auditView(v *ClusterView) {
 // and reports whether any pilot has a live attached store. These change
 // outside the manager's event stream (a resize completing, a replica
 // staging), so every consumer re-probes rather than trusting the
-// memoized view; the bind loop calls this before each offer. It
+// memoized counts; the bind loop calls this before each offer. It
 // allocates nothing and costs O(pilots × NodeManagers), independent of
 // how many units or YARN applications have run.
 func (um *UnitManager) refreshProbes(v *ClusterView) bool {

@@ -113,10 +113,12 @@ func TestClusterViewCountsAndDataBytes(t *testing.T) {
 	e.eng.Close()
 }
 
-// TestClusterViewMemoizedOnGeneration pins the demand() satellite fix:
-// with no scheduling event in between, repeated reads reuse the counting
-// pass; any unit state change or scheduling event invalidates it.
-func TestClusterViewMemoizedOnGeneration(t *testing.T) {
+// TestClusterViewPersistent pins the one-view-per-manager contract: the
+// same *ClusterView and the same *PilotView pointers come back across
+// reads, scheduling events and unit transitions, refreshed in place;
+// back-to-back reads with no event in between skip the count copy; and
+// demand() agrees with the view.
+func TestClusterViewPersistent(t *testing.T) {
 	e := newEnv(t, 2, fastProfile())
 	e.eng.Spawn("driver", func(p *sim.Proc) {
 		pl := submitPilot(t, p, e, PilotDescription{
@@ -124,6 +126,12 @@ func TestClusterViewMemoizedOnGeneration(t *testing.T) {
 		})
 		um := newUM(t, e.session, WithScheduler(SchedulerBackfill))
 		um.AddPilot(pl)
+		v := um.ClusterView()
+		pv := v.For(pl)
+		if pv == nil || len(v.Pilots) != 1 || v.Pilots[0] != pv {
+			t.Errorf("view after AddPilot: %d pilots, For = %v", len(v.Pilots), pv)
+			return
+		}
 		units, err := um.Submit(p, []ComputeUnitDescription{{
 			Body: func(bp *sim.Proc, ctx *UnitContext) { bp.Sleep(time.Minute) },
 		}})
@@ -131,27 +139,42 @@ func TestClusterViewMemoizedOnGeneration(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		v1 := um.ensureView()
-		v2 := um.ensureView()
-		if v1 != v2 {
-			t.Error("back-to-back views without a scheduling event were rebuilt")
+		same := func(when string, got *ClusterView) {
+			t.Helper()
+			if got != v || got.For(pl) != pv || got.Pilots[0] != pv {
+				t.Errorf("%s: manager handed out a different view", when)
+			}
+		}
+		same("after Submit", um.ClusterView())
+		same("ensureView", um.ensureView())
+		if um.viewGen != um.gen {
+			t.Error("read left the counts behind the generation")
 		}
 		w1, _, _, _ := um.demand()
+		gen := um.viewGen
 		w2, _, _, _ := um.demand()
-		if w1 != w2 || um.ensureView() != v1 {
-			t.Error("demand() invalidated the memoized view without an event")
+		if w1 != w2 || um.viewGen != gen {
+			t.Error("demand() re-copied the counts without an event")
 		}
-		// A state change (the unit starting to execute) must invalidate.
+		// A state change (the unit starting to execute) must show up in
+		// the same view.
 		pl.WaitState(p, PilotActive)
 		units[0].watch.Await(p, units[0].State(), func(s UnitState) bool { return s >= UnitExecuting })
-		v3 := um.ensureView()
-		if v3 == v1 {
-			t.Error("view not rebuilt after a unit state change")
+		same("after the unit started", um.ClusterView())
+		if v.RunningUnits != 1 || v.WaitingUnits != 0 || pv.RunningUnits != 1 {
+			t.Errorf("refreshed view: running %d (pilot %d), waiting %d; want 1 (1), 0",
+				v.RunningUnits, pv.RunningUnits, v.WaitingUnits)
 		}
-		if v3.RunningUnits != 1 || v3.WaitingUnits != 0 {
-			t.Errorf("rebuilt view: running %d, waiting %d; want 1, 0", v3.RunningUnits, v3.WaitingUnits)
+		wu, wc, ru, rc := um.demand()
+		if wu != v.WaitingUnits || wc != v.WaitingCores || ru != v.RunningUnits || rc != v.RunningCores {
+			t.Errorf("demand() = %d/%d %d/%d, view says %d/%d %d/%d",
+				wu, wc, ru, rc, v.WaitingUnits, v.WaitingCores, v.RunningUnits, v.RunningCores)
 		}
 		um.WaitAll(p, units)
+		same("after the unit finished", um.ClusterView())
+		if pv.DoneUnits != 1 || v.RunningUnits != 0 {
+			t.Errorf("after completion: done %d, running %d; want 1, 0", pv.DoneUnits, v.RunningUnits)
+		}
 		pl.Cancel()
 	})
 	e.eng.Run()
@@ -211,44 +234,97 @@ func runYARNHistory(t testing.TB, p *sim.Proc, e *env, n int) (*UnitManager, []*
 	return um, pls
 }
 
-// TestBindProbesAllocateNothing gates the per-offer probe on a
-// deterministic counter rather than wall time: once YARN pilots have
+// TestBindProbesAllocateNothing gates the bind path's per-offer work on
+// a deterministic counter rather than wall time. Once YARN pilots have
 // run applications to completion, passCands.ensure and the
 // refreshProbes inside it allocate nothing per call, and read each YARN
-// pilot's capacity as its live NodeManager vcores.
+// pilot's capacity as its live NodeManager vcores. With units in flight
+// on HPC pilots, neither the candidate refresh nor a ClusterView read
+// allocates after a scheduling event either.
 func TestBindProbesAllocateNothing(t *testing.T) {
-	e := newEnv(t, 4, fastProfile())
-	e.eng.Spawn("workload", func(p *sim.Proc) {
-		um, pls := runYARNHistory(t, p, e, 24)
-		if um == nil {
-			return
-		}
-		um.cands.ensure() // settle the candidate set after the last events
-		v := um.ensureView()
-		for _, pl := range pls {
-			if got, want := v.For(pl).TotalCores, pl.YARNMetrics().TotalVCores; got != want || got != 16 {
-				t.Errorf("pilot %s: probed %d cores, YARN metrics say %d, want 16", pl.ID, got, want)
+	t.Run("yarn-history", func(t *testing.T) {
+		e := newEnv(t, 4, fastProfile())
+		e.eng.Spawn("workload", func(p *sim.Proc) {
+			um, pls := runYARNHistory(t, p, e, 24)
+			if um == nil {
+				return
 			}
-		}
-		if a := testing.AllocsPerRun(100, um.cands.ensure); a != 0 {
-			t.Errorf("passCands.ensure allocates %v per call, want 0", a)
-		}
-		if a := testing.AllocsPerRun(100, func() { um.refreshProbes(v) }); a != 0 {
-			t.Errorf("refreshProbes allocates %v per call, want 0", a)
-		}
-		for _, pl := range pls {
-			pl.Cancel()
-		}
+			um.cands.ensure() // settle the candidate set after the last events
+			v := um.ensureView()
+			for _, pl := range pls {
+				if got, want := v.For(pl).TotalCores, pl.YARNMetrics().TotalVCores; got != want || got != 16 {
+					t.Errorf("pilot %s: probed %d cores, YARN metrics say %d, want 16", pl.ID, got, want)
+				}
+			}
+			if a := testing.AllocsPerRun(100, um.cands.ensure); a != 0 {
+				t.Errorf("passCands.ensure allocates %v per call, want 0", a)
+			}
+			if a := testing.AllocsPerRun(100, func() { um.refreshProbes(v) }); a != 0 {
+				t.Errorf("refreshProbes allocates %v per call, want 0", a)
+			}
+			for _, pl := range pls {
+				pl.Cancel()
+			}
+		})
+		e.eng.Run()
+		e.eng.Close()
 	})
-	e.eng.Run()
-	e.eng.Close()
+	t.Run("hpc-inflight", func(t *testing.T) {
+		// Sixteen HPC pilots under backfill, units executing on every
+		// one, and a scheduling event before each read: the manager's one
+		// view must be refreshed in place. Rebuilding it per generation
+		// (a fresh ClusterView, its byPilot map, one PilotView per pilot
+		// and the growing Pilots slice) cost 26 allocations per call here,
+		// for both reads.
+		const npilots = 16
+		e := newEnv(t, npilots, fastProfile())
+		e.eng.Spawn("workload", func(p *sim.Proc) {
+			um := newUM(t, e.session, WithScheduler(SchedulerBackfill))
+			pls := make([]*Pilot, npilots)
+			for i := range pls {
+				pls[i] = submitPilot(t, p, e, PilotDescription{
+					Resource: "tm", Nodes: 1, Runtime: time.Hour, Mode: ModeHPC,
+				})
+				um.AddPilot(pls[i])
+			}
+			descs := make([]ComputeUnitDescription, 2*npilots)
+			for i := range descs {
+				descs[i] = ComputeUnitDescription{Cores: 1,
+					Body: func(bp *sim.Proc, ctx *UnitContext) { bp.Sleep(time.Hour) }}
+			}
+			units, err := um.Submit(p, descs)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, u := range units {
+				u.watch.Await(p, u.State(), func(s UnitState) bool { return s >= UnitExecuting })
+			}
+			if v := um.ClusterView(); v.RunningUnits != len(units) || len(v.Pilots) != npilots {
+				t.Errorf("view: %d running on %d pilots, want %d on %d",
+					v.RunningUnits, len(v.Pilots), len(units), npilots)
+			}
+			if a := testing.AllocsPerRun(100, func() { um.bumpGen(); um.cands.ensure() }); a != 0 {
+				t.Errorf("passCands.ensure after a scheduling event allocates %v per call, want 0", a)
+			}
+			if a := testing.AllocsPerRun(100, func() { um.bumpGen(); um.ClusterView() }); a != 0 {
+				t.Errorf("ClusterView after a scheduling event allocates %v per call, want 0", a)
+			}
+			for _, pl := range pls {
+				pl.Cancel()
+			}
+		})
+		e.eng.Run()
+		e.eng.Close()
+	})
 }
 
-// BenchmarkClusterView guards the snapshot-assembly cost on the bind hot
-// path: every offer builds candidates from a ClusterView, so its rebuild
-// (forced here by bumping the generation) plus the live-probe refresh
-// must stay cheap — and, since the incremental-accounting rework, flat in
-// the in-flight unit count — as the load grows. The yarn case probes two
+// BenchmarkClusterView guards the snapshot-refresh cost on the bind hot
+// path: every offer builds candidates from the manager's ClusterView, so
+// its in-place count copy (forced here by bumping the generation) plus
+// the live-probe refresh must stay cheap and allocation-free as the load
+// grows. (Under TestMain every copy also runs the full-walk auditView,
+// so the unit-count cases time that walk too.) The yarn case probes two
 // Mode I YARN pilots whose ResourceManagers have finished thousands of
 // applications: its cost must not grow with that history.
 func BenchmarkClusterView(b *testing.B) {
@@ -269,8 +345,7 @@ func BenchmarkClusterView(b *testing.B) {
 				pilots[i] = &Pilot{ID: fmt.Sprintf("bench.%d", i), session: s,
 					watch:      sim.NewNotifier[PilotState](eng),
 					Timestamps: make(map[PilotState]sim.Duration)}
-				um.pilots = append(um.pilots, pilots[i])
-				um.load[pilots[i]] = &pilotLoad{}
+				um.trackPilot(pilots[i])
 			}
 			for i := 0; i < inflight; i++ {
 				u := &Unit{ID: fmt.Sprintf("u.%d", i), session: s,
@@ -285,12 +360,14 @@ func BenchmarkClusterView(b *testing.B) {
 				ld.cores += u.Desc.Cores
 				um.setAcct(u, acctBoundWaiting, pl)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				um.bumpGen() // force the rebuild, not the memoized hit
+				um.bumpGen() // force the count copy, not the memoized hit
 				v := um.ClusterView()
-				if v.WaitingUnits != inflight {
-					b.Fatalf("view counted %d waiting units, want %d", v.WaitingUnits, inflight)
+				if v.WaitingUnits != inflight || len(v.Pilots) != len(pilots) {
+					b.Fatalf("view counted %d waiting units on %d pilots, want %d on %d",
+						v.WaitingUnits, len(v.Pilots), inflight, len(pilots))
 				}
 			}
 		})
@@ -302,6 +379,7 @@ func BenchmarkClusterView(b *testing.B) {
 			if um == nil {
 				return
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				um.bumpGen()

@@ -46,6 +46,12 @@ var (
 	// reached a final state (Done, Canceled, Failed).
 	ErrPilotFinal = errors.New("pilot is in a final state")
 
+	// ErrBackendBootstrap reports a pilot whose agent could not bring
+	// its execution backend up: Backend.Bootstrap returned an error. The
+	// pilot moves to PilotFailed with the wrapped cause in Pilot.Err, and
+	// units waiting for it fail over like on any other pilot death.
+	ErrBackendBootstrap = errors.New("backend bootstrap failed")
+
 	// ErrUnknownAutoscalePolicy reports a WithAutoscalePolicy option
 	// naming a policy never registered through RegisterAutoscalePolicy.
 	ErrUnknownAutoscalePolicy = errors.New("unknown autoscale policy")

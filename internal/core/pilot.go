@@ -54,6 +54,8 @@ type Pilot struct {
 	// this pilot's units read co-located replicas from, and the signal
 	// the data-affinity unit schedulers place by.
 	dataPilot *data.Pilot
+
+	err error // failure cause (Err)
 }
 
 // State returns the pilot state.
@@ -164,6 +166,22 @@ func (pl *Pilot) exitResizing() {
 	pl.session.eng.Tracef("pilot %s -> %s", pl.ID, PilotActive)
 	pl.recordState(PilotActive)
 	pl.watch.Entered(PilotActive)
+}
+
+// Err returns the cause recorded when the pilot failed — an error
+// wrapping ErrBackendBootstrap when its agent could not bring the
+// backend up — and nil for pilots that did not fail that way.
+func (pl *Pilot) Err() error { return pl.err }
+
+// fail records err as the pilot's failure cause and moves it to
+// PilotFailed; a pilot already in a final state keeps its state and
+// cause.
+func (pl *Pilot) fail(err error) {
+	if pl.state.Final() {
+		return
+	}
+	pl.err = err
+	pl.advance(PilotFailed)
 }
 
 // Cancel terminates the pilot: the placeholder job is cancelled and the

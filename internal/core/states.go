@@ -27,7 +27,8 @@ const (
 	PilotDone
 	// PilotCanceled: the pilot was canceled.
 	PilotCanceled
-	// PilotFailed: the placeholder job failed (e.g. walltime).
+	// PilotFailed: the placeholder job failed (e.g. walltime), or its
+	// agent could not bring the backend up (Pilot.Err says why).
 	PilotFailed
 )
 

@@ -51,6 +51,9 @@ type Candidate struct {
 	// occupancy in one place. It is set on every candidate the manager
 	// offers; hand-built candidates (tests, custom harnesses) may leave
 	// it nil, in which case the accessors below probe the pilot directly.
+	// It points into the manager's one view, which is refreshed in place
+	// before every offer: read it during Pick, do not retain it across
+	// scheduling events.
 	View *PilotView
 }
 

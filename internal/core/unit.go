@@ -111,7 +111,9 @@ func (u *Unit) advance(st UnitState) {
 	}
 	u.state = st
 	u.Timestamps[st] = u.session.eng.Now()
-	u.session.eng.Tracef("unit %s -> %s", u.ID, st)
+	if eng := u.session.eng; eng.Tracing() {
+		eng.Tracef("unit %s -> %s", u.ID, st)
+	}
 	u.recordState(st, "")
 	u.watch.Entered(st)
 }
@@ -144,7 +146,9 @@ func (u *Unit) fail(err error) {
 	u.Err = err
 	u.state = UnitFailed
 	u.Timestamps[UnitFailed] = u.session.eng.Now()
-	u.session.eng.Tracef("unit %s -> FAILED: %v", u.ID, err)
+	if eng := u.session.eng; eng.Tracing() {
+		eng.Tracef("unit %s -> FAILED: %v", u.ID, err)
+	}
 	u.recordState(UnitFailed, err.Error())
 	u.watch.Entered(UnitFailed)
 }
@@ -156,7 +160,9 @@ func (u *Unit) cancel() {
 	}
 	u.state = UnitCanceled
 	u.Timestamps[UnitCanceled] = u.session.eng.Now()
-	u.session.eng.Tracef("unit %s -> CANCELED", u.ID)
+	if eng := u.session.eng; eng.Tracing() {
+		eng.Tracef("unit %s -> CANCELED", u.ID)
+	}
 	u.recordState(UnitCanceled, "")
 	u.watch.Entered(UnitCanceled)
 }
@@ -226,11 +232,13 @@ type UnitManager struct {
 	rerun    bool
 	passDone *sim.Event
 
-	// gen counts scheduling events and unit state changes; the memoized
-	// ClusterView (and with it demand()) rebuilds only when it moved.
+	// view is the manager's one ClusterView, refreshed in place; gen
+	// counts scheduling events and unit state changes, and the view's
+	// counts (and with them demand()) are re-copied only when it moved
+	// past viewGen.
+	view    *ClusterView
 	gen     uint64
 	viewGen uint64
-	view    *ClusterView
 	// sampleGen is the generation the flight recorder last sampled gauges
 	// at: one gauge reading per scheduling-event generation, not per kick.
 	sampleGen uint64
@@ -363,6 +371,7 @@ func NewUnitManager(s *Session, opts ...UnitManagerOption) (*UnitManager, error)
 		session: s,
 		policy:  policy,
 		load:    make(map[*Pilot]*pilotLoad),
+		view:    &ClusterView{byPilot: make(map[*Pilot]*PilotView)},
 		charged: make(map[*Unit]*Pilot),
 		held:    make(map[*Unit]int),
 		wake:    sim.NewQueue[struct{}](s.eng),
@@ -399,8 +408,7 @@ func (um *UnitManager) AddPilot(pl *Pilot) error {
 			return fmt.Errorf("core: pilot %s already added", pl.ID)
 		}
 	}
-	um.pilots = append(um.pilots, pl)
-	um.load[pl] = &pilotLoad{}
+	um.trackPilot(pl)
 	um.pilotGen++
 	um.fullReoffer = true
 	um.bumpGen()
@@ -503,10 +511,9 @@ func (um *UnitManager) sampleGauges() {
 // demand summarizes the manager's current workload for autoscaling:
 // units not yet executing (parked in the manager plus bound but still
 // queued or in agent scheduling/staging-in) and units currently
-// executing, with their summed core demands. The counting pass is
-// memoized behind the scheduling-event generation counter, so an
-// autoscaler tick arriving while nothing changed reuses the last count
-// instead of re-walking every in-flight unit.
+// executing, with their summed core demands, read off the manager's
+// view; the counts are re-copied only after a scheduling event, so an
+// autoscaler tick arriving while nothing changed reuses the last copy.
 func (um *UnitManager) demand() (waitingUnits, waitingCores, runningUnits, runningCores int) {
 	v := um.ensureView()
 	return v.WaitingUnits, v.WaitingCores, v.RunningUnits, v.RunningCores
@@ -704,9 +711,9 @@ func (um *UnitManager) parkAgain(u *Unit) {
 // passCands is the per-pass candidate set: one Candidate per live
 // pilot, with a membership map replacing the old per-unit linear scan.
 // The set rebuilds only when the pilot topology or a pilot's state
-// changed (pilotGen); the numeric fields and live probes refresh before
-// every offer, so policies see the same freshness the old per-unit
-// ClusterView rebuild gave them, without the per-unit allocations.
+// changed (pilotGen); the numeric fields and live probes refresh from
+// the manager's one ClusterView before every offer, in place and
+// without allocating.
 type passCands struct {
 	um       *UnitManager
 	pilotGen uint64

@@ -65,10 +65,15 @@ func (e *Engine) SetTrace(w io.Writer) { e.trace = w }
 // events into its timeline. Passing nil uninstalls the sink.
 func (e *Engine) SetTraceFunc(fn func(at time.Duration, msg string)) { e.traceFn = fn }
 
+// Tracing reports whether SetTrace or SetTraceFunc installed a sink. Hot
+// call sites guard Tracef with it so that, with no sink, they do not
+// box the trace arguments at all.
+func (e *Engine) Tracing() bool { return e.trace != nil || e.traceFn != nil }
+
 // Tracef writes a trace line stamped with the current virtual time. It is
 // a no-op unless SetTrace or SetTraceFunc installed a sink.
 func (e *Engine) Tracef(format string, args ...any) {
-	if e.trace == nil && e.traceFn == nil {
+	if !e.Tracing() {
 		return
 	}
 	msg := fmt.Sprintf(format, args...)

@@ -302,6 +302,27 @@ func TestTraceFunc(t *testing.T) {
 	}
 }
 
+func TestTracingReportsSink(t *testing.T) {
+	e := NewEngine()
+	if e.Tracing() {
+		t.Fatal("fresh engine reports a trace sink")
+	}
+	var sb strings.Builder
+	e.SetTrace(&sb)
+	if !e.Tracing() {
+		t.Fatal("writer sink installed, Tracing() false")
+	}
+	e.SetTrace(nil)
+	e.SetTraceFunc(func(time.Duration, string) {})
+	if !e.Tracing() {
+		t.Fatal("func sink installed, Tracing() false")
+	}
+	e.SetTraceFunc(nil)
+	if e.Tracing() {
+		t.Fatal("both sinks uninstalled, Tracing() still true")
+	}
+}
+
 func TestSecondsAndTransferTime(t *testing.T) {
 	if got := Seconds(1.5); got != 1500*time.Millisecond {
 		t.Fatalf("Seconds(1.5) = %v", got)

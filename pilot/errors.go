@@ -44,6 +44,13 @@ var (
 	// reached a final state (Done, Canceled, Failed).
 	ErrPilotFinal = core.ErrPilotFinal
 
+	// ErrBackendBootstrap: a pilot's agent could not bring its execution
+	// backend up. The pilot is PilotFailed and Pilot.Err wraps both this
+	// sentinel and the backend's own error:
+	//
+	//	if errors.Is(pl.Err(), pilot.ErrBackendBootstrap) { ... }
+	ErrBackendBootstrap = core.ErrBackendBootstrap
+
 	// ErrUnknownAutoscalePolicy: WithAutoscalePolicy named a policy
 	// never registered through RegisterAutoscalePolicy.
 	ErrUnknownAutoscalePolicy = core.ErrUnknownAutoscalePolicy
