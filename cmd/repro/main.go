@@ -88,165 +88,25 @@ func main() {
 		defer msrv.Close()
 		fmt.Printf("serving metrics on http://%s/metrics (snapshot at /debug/pilot)\n\n", msrv.Addr())
 	}
-	run := func(name string, fn func() error) {
+	known := cmd == "all"
+	for _, name := range subcommands {
+		known = known || cmd == name
+	}
+	if !known {
+		flag.Usage()
+		os.Exit(2)
+	}
+	r := &runner{w: os.Stdout, seed: *seed, trials: *trials, scales: *scalesFlag, scaleOut: *scaleOut}
+	for _, name := range subcommands {
 		if cmd != name && cmd != "all" {
-			return
+			continue
 		}
-		if err := fn(); err != nil {
+		if err := r.run(name); err != nil {
 			fmt.Fprintf(os.Stderr, "repro %s: %v\n", name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
-	known := map[string]bool{"fig5": true, "fig6": true, "speedups": true,
-		"ablate-shuffle": true, "ablate-amreuse": true, "sched": true,
-		"elastic": true, "data": true, "dataelastic": true, "dag": true,
-		"cache": true, "scale": true,
-		"breakdown": true, "all": true}
-	if !known[cmd] {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	var fig6 *experiments.Fig6Result
-	run("fig5", func() error {
-		res, err := experiments.RunFig5(*trials, *seed)
-		if err != nil {
-			return err
-		}
-		res.Write(os.Stdout)
-		return nil
-	})
-	ensureFig6 := func() error {
-		if fig6 != nil {
-			return nil
-		}
-		var err error
-		fig6, err = experiments.RunFig6(*seed)
-		return err
-	}
-	run("fig6", func() error {
-		if err := ensureFig6(); err != nil {
-			return err
-		}
-		fig6.Write(os.Stdout)
-		return nil
-	})
-	run("speedups", func() error {
-		if err := ensureFig6(); err != nil {
-			return err
-		}
-		fig6.WriteSpeedups(os.Stdout)
-		return nil
-	})
-	run("ablate-shuffle", func() error {
-		rows, err := experiments.RunShuffleAblation(*seed)
-		if err != nil {
-			return err
-		}
-		experiments.WriteShuffleAblation(os.Stdout, rows)
-		return nil
-	})
-	run("ablate-amreuse", func() error {
-		rows, err := experiments.RunAMReuseAblation(*seed)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAMReuseAblation(os.Stdout, rows)
-		return nil
-	})
-	run("sched", func() error {
-		rows, err := experiments.RunSchedulerComparison(*seed)
-		if err != nil {
-			return err
-		}
-		experiments.WriteSchedulerComparison(os.Stdout, rows)
-		return nil
-	})
-	run("elastic", func() error {
-		rows, err := experiments.RunElasticComparison(*seed)
-		if err != nil {
-			return err
-		}
-		experiments.WriteElasticComparison(os.Stdout, rows)
-		return nil
-	})
-	run("data", func() error {
-		rows, err := experiments.RunStagingComparison(*seed)
-		if err != nil {
-			return err
-		}
-		experiments.WriteStagingComparison(os.Stdout, rows)
-		return nil
-	})
-	run("dataelastic", func() error {
-		rows, err := experiments.RunDataElasticComparison(*seed)
-		if err != nil {
-			return err
-		}
-		experiments.WriteDataElasticComparison(os.Stdout, rows)
-		return nil
-	})
-	run("dag", func() error {
-		rows, err := experiments.RunDAGComparison(*seed)
-		if err != nil {
-			return err
-		}
-		experiments.WriteDAGComparison(os.Stdout, rows)
-		if *seed == 42 {
-			// The committed claim: at the reference seed, critical-path
-			// ordering must beat FIFO on the skewed DAG.
-			if err := experiments.CheckDAGComparison(rows); err != nil {
-				return err
-			}
-			fmt.Println("dag assertions hold: critical-path starts the heavy chain first and wins on makespan")
-		}
-		return nil
-	})
-	run("cache", func() error {
-		rows, err := experiments.RunCacheComparison(*seed)
-		if err != nil {
-			return err
-		}
-		experiments.WriteCacheComparison(os.Stdout, rows)
-		if *seed == 42 {
-			// The committed claim: at the reference seed, the result cache
-			// must collapse redundant submissions and win on makespan.
-			if err := experiments.CheckCacheComparison(rows); err != nil {
-				return err
-			}
-			fmt.Println("cache assertions hold: one execution per distinct job, redundant resubmission served entirely from cache, cached makespan wins")
-		}
-		return nil
-	})
-	run("scale", func() error {
-		scales, err := parseScales(*scalesFlag)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.RunScaleSweep(*seed, scales)
-		if err != nil {
-			return err
-		}
-		experiments.WriteScaleSweep(os.Stdout, rows)
-		if err := experiments.CheckScaleSweep(rows, scales); err != nil {
-			return err
-		}
-		f, err := os.Create(*scaleOut)
-		if err != nil {
-			return err
-		}
-		if err := experiments.WriteScaleBenchJSON(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote scale benchmarks (%d scales) to %s\n", len(rows), *scaleOut)
-		return nil
-	})
-	run("breakdown", func() error { return breakdown(*seed) })
 
 	if tap != nil {
 		if err := writeTapOutputs(tap, *traceOut, *seriesOut); err != nil {
@@ -259,6 +119,146 @@ func main() {
 		fmt.Printf("lingering %s before exit\n", *linger)
 		time.Sleep(*linger)
 	}
+}
+
+// subcommands lists every experiment in the order "all" runs them.
+var subcommands = []string{"fig5", "fig6", "speedups", "ablate-shuffle",
+	"ablate-amreuse", "sched", "elastic", "data", "dataelastic", "dag",
+	"cache", "scale", "breakdown"}
+
+// runner runs experiments by subcommand name, writing each report to w.
+// fig6 caches the Figure 6 result the fig6 and speedups reports share.
+type runner struct {
+	w        io.Writer
+	seed     int64
+	trials   int
+	scales   string
+	scaleOut string
+	fig6     *experiments.Fig6Result
+}
+
+// run runs the named experiment and writes its report.
+func (r *runner) run(name string) error {
+	w, seed := r.w, r.seed
+	switch name {
+	case "fig5":
+		res, err := experiments.RunFig5(r.trials, seed)
+		if err != nil {
+			return err
+		}
+		res.Write(w)
+	case "fig6", "speedups":
+		if r.fig6 == nil {
+			res, err := experiments.RunFig6(seed)
+			if err != nil {
+				return err
+			}
+			r.fig6 = res
+		}
+		if name == "fig6" {
+			r.fig6.Write(w)
+		} else {
+			r.fig6.WriteSpeedups(w)
+		}
+	case "ablate-shuffle":
+		rows, err := experiments.RunShuffleAblation(seed)
+		if err != nil {
+			return err
+		}
+		experiments.WriteShuffleAblation(w, rows)
+	case "ablate-amreuse":
+		rows, err := experiments.RunAMReuseAblation(seed)
+		if err != nil {
+			return err
+		}
+		experiments.WriteAMReuseAblation(w, rows)
+	case "sched":
+		rows, err := experiments.RunSchedulerComparison(seed)
+		if err != nil {
+			return err
+		}
+		experiments.WriteSchedulerComparison(w, rows)
+	case "elastic":
+		rows, err := experiments.RunElasticComparison(seed)
+		if err != nil {
+			return err
+		}
+		experiments.WriteElasticComparison(w, rows)
+	case "data":
+		rows, err := experiments.RunStagingComparison(seed)
+		if err != nil {
+			return err
+		}
+		experiments.WriteStagingComparison(w, rows)
+	case "dataelastic":
+		rows, err := experiments.RunDataElasticComparison(seed)
+		if err != nil {
+			return err
+		}
+		experiments.WriteDataElasticComparison(w, rows)
+	case "dag":
+		rows, err := experiments.RunDAGComparison(seed)
+		if err != nil {
+			return err
+		}
+		experiments.WriteDAGComparison(w, rows)
+		if seed == 42 {
+			// The committed claim: at the reference seed, critical-path
+			// ordering must beat FIFO on the skewed DAG.
+			if err := experiments.CheckDAGComparison(rows); err != nil {
+				return err
+			}
+			fmt.Fprintln(w, "dag assertions hold: critical-path starts the heavy chain first and wins on makespan")
+		}
+	case "cache":
+		rows, err := experiments.RunCacheComparison(seed)
+		if err != nil {
+			return err
+		}
+		experiments.WriteCacheComparison(w, rows)
+		if seed == 42 {
+			// The committed claim: at the reference seed, the result cache
+			// must collapse redundant submissions and win on makespan.
+			if err := experiments.CheckCacheComparison(rows); err != nil {
+				return err
+			}
+			fmt.Fprintln(w, "cache assertions hold: one execution per distinct job, redundant resubmission served entirely from cache, cached makespan wins")
+		}
+	case "scale":
+		return r.scale()
+	case "breakdown":
+		return breakdown(w, seed)
+	}
+	return nil
+}
+
+// scale runs the engine-speed sweep and writes its benchmark document.
+func (r *runner) scale() error {
+	scales, err := parseScales(r.scales)
+	if err != nil {
+		return err
+	}
+	rows, err := experiments.RunScaleSweep(r.seed, scales)
+	if err != nil {
+		return err
+	}
+	experiments.WriteScaleSweep(r.w, rows)
+	if err := experiments.CheckScaleSweep(rows, scales); err != nil {
+		return err
+	}
+	f, err := os.Create(r.scaleOut)
+	if err != nil {
+		return err
+	}
+	if err := experiments.WriteScaleBenchJSON(f, rows); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(r.w, "wrote scale benchmarks (%d scales) to %s\n", len(rows), r.scaleOut)
+	return nil
 }
 
 // startProfiles arms the optional pprof outputs. The returned stop is
@@ -359,7 +359,7 @@ func writeTapOutputs(tap *experiments.Tap, tracePath, seriesPath string) error {
 // The decomposition is event-sourced: a flight recorder captures the
 // run and the profile derives from its stream, so the printed numbers
 // come from the same timeline -trace exports.
-func breakdown(seed int64) error {
+func breakdown(w io.Writer, seed int64) error {
 	for _, sys := range []struct {
 		label string
 		short string
@@ -416,8 +416,8 @@ func breakdown(seed int64) error {
 			}
 			um.WaitAll(p, units)
 			ov := profiling.PilotProfile(pl)
-			fmt.Printf("%s\n", sys.label)
-			fmt.Printf("  pilot: queue wait %ss, agent startup %ss (hadoop spawn %ss)\n",
+			fmt.Fprintf(w, "%s\n", sys.label)
+			fmt.Fprintf(w, "  pilot: queue wait %ss, agent startup %ss (hadoop spawn %ss)\n",
 				metrics.Seconds(ov.QueueWait), metrics.Seconds(ov.AgentStartup), metrics.Seconds(ov.HadoopSpawn))
 			events := rec.Events()
 			prof, skipped := profiling.ProfileFromEvents(events)
@@ -425,9 +425,9 @@ func breakdown(seed int64) error {
 				runErr = fmt.Errorf("%d units did not finish", skipped)
 				return
 			}
-			prof.Write(os.Stdout)
+			prof.Write(w)
 			spans := profiling.SpansFromEvents(events)
-			fmt.Printf("  peak concurrency %d, core utilization %.0f%%\n\n",
+			fmt.Fprintf(w, "  peak concurrency %d, core utilization %.0f%%\n\n",
 				profiling.MaxConcurrency(spans),
 				100*profiling.Utilization(spans, 16))
 			pl.Cancel()

@@ -90,8 +90,8 @@ func TestPilotCompletionCounters(t *testing.T) {
 	if offered < 8 {
 		t.Fatalf("offered = %d; want >= 8", offered)
 	}
-	if pv.InFlightUnits != 0 {
-		t.Fatalf("InFlightUnits = %d after drain; want 0", pv.InFlightUnits)
+	if pv.InFlightUnits() != 0 {
+		t.Fatalf("InFlightUnits = %d after drain; want 0", pv.InFlightUnits())
 	}
 }
 
@@ -99,7 +99,7 @@ func TestPilotCompletionCounters(t *testing.T) {
 // expiry were bound to it, so its FailedUnits ledger must record them.
 func TestPilotFailureCounters(t *testing.T) {
 	// Units sleep far past the pilot's runtime: whatever is executing at
-	// expiry fails while still charged to the pilot.
+	// expiry fails while still bound to the pilot.
 	pv, _, _ := accountingRun(t, 10*time.Minute, 2*time.Hour, 4)
 	if pv.DoneUnits != 0 {
 		t.Fatalf("DoneUnits = %d; want 0", pv.DoneUnits)

@@ -200,7 +200,7 @@ func (um *UnitManager) requeueWaiter(u *Unit) {
 	case err != nil:
 		u.fail(err)
 	case unresolved > 0:
-		um.held[u] = unresolved
+		u.unresolved = int32(unresolved)
 		um.setAcct(u, acctHeld, nil)
 		um.recordHold(u, unresolved)
 		u.advance(UnitPendingInput)

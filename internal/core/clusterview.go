@@ -19,17 +19,15 @@ import (
 // Each UnitManager owns exactly one view for its whole life:
 // NewUnitManager creates it and AddPilot appends the pilot's PilotView,
 // and every read refreshes that same view in place — no read allocates.
-// The manager-wide and per-pilot counts are copied from running sums
-// maintained incrementally on every unit transition, and the copy is
-// memoized behind the manager's scheduling-event generation counter, so
-// back-to-back reads (an autoscaler tick firing right after a bind
-// pass) skip it; the cheap, live-changing probes (pilot state,
-// capacity, data-store bytes) are refreshed on every call, at a cost
-// that does not grow with the session's history. Because the view is
-// shared and refreshed in place, it is valid only until the next
+// The per-pilot rows and the Held counts are the manager's in-flight
+// ledger itself, written on every unit transition; a read only sums the
+// rows into the manager-wide totals, O(pilots), and re-probes the cheap,
+// live-changing figures (pilot state, capacity, data-store bytes) at a
+// cost that does not grow with the session's history. Because the view
+// is shared and updated in place, it is valid only until the next
 // scheduling event: consumers read it synchronously and re-request
 // rather than retain it — a retained pointer silently shows whatever
-// the latest read refreshed it to.
+// the ledger and the latest read made of it.
 type ClusterView struct {
 	// Now is the virtual time the view was (re)read.
 	Now sim.Duration
@@ -41,7 +39,7 @@ type ClusterView struct {
 	// executing — parked in the manager plus bound but still queued or in
 	// agent scheduling/staging; RunningUnits/RunningCores count executing
 	// units. These are the manager-wide totals the autoscaler's demand
-	// signal is built from.
+	// signal is built from, summed over the pilot rows on every read.
 	WaitingUnits, WaitingCores int
 	RunningUnits, RunningCores int
 	// HeldUnits/HeldCores count units parked in UnitPendingInput — work
@@ -61,7 +59,10 @@ type ClusterView struct {
 	byPilot map[*Pilot]*PilotView
 }
 
-// PilotView is one pilot's slice of the ClusterView.
+// PilotView is one pilot's slice of the ClusterView. Its Waiting,
+// Running, Done and Failed counts are the Unit-Manager's ledger row for
+// the pilot, current at every instant; the remaining fields are probes
+// refreshed on each read.
 type PilotView struct {
 	// Pilot is the viewed pilot; State its state at read time.
 	Pilot *Pilot
@@ -74,9 +75,6 @@ type PilotView struct {
 	// and Nodes × CoresPerNode otherwise — both track elastic resizes.
 	// Zero means the capacity is unknown.
 	TotalCores int
-	// InFlightUnits counts units bound to the pilot that have not yet
-	// reached a final state; InFlightCores is their summed core demand.
-	InFlightUnits, InFlightCores int
 	// DoneUnits and FailedUnits are the pilot's lifetime completion
 	// counters — units bound here that reached DONE, or FAILED/CANCELED.
 	// Always-on and O(1) per transition, so accounting costs nothing
@@ -95,10 +93,19 @@ type PilotView struct {
 	// units whose replicas the attached store holds — the demand signal
 	// the data-aware autoscale policy grows on.
 	PendingInputBytes int64
+
+	slot int // index in ClusterView.Pilots
 }
 
+// InFlightUnits counts units bound to the pilot that have not yet
+// reached a final state: the waiting plus the running ones.
+func (pv *PilotView) InFlightUnits() int { return pv.WaitingUnits + pv.RunningUnits }
+
+// InFlightCores is the summed core demand of the in-flight units.
+func (pv *PilotView) InFlightCores() int { return pv.WaitingCores + pv.RunningCores }
+
 // FreeCores is TotalCores minus the cores already in flight.
-func (pv *PilotView) FreeCores() int { return pv.TotalCores - pv.InFlightCores }
+func (pv *PilotView) FreeCores() int { return pv.TotalCores - pv.InFlightCores() }
 
 // DataFreeBytes is the attached store's remaining capacity: -1 for an
 // unbounded store, 0 when no data pilot is attached.
@@ -155,105 +162,103 @@ func (v *ClusterView) HottestDataPilot() *PilotView {
 	return best
 }
 
-// bumpGen invalidates the memoized counts; it runs on every scheduling
-// event (kick, submission, pilot added) and on every unit state change.
+// bumpGen advances the scheduling-event generation; it runs on every
+// scheduling event (kick, submission, pilot added) and on every unit
+// state change, and sampleGauges dedupes on it.
 func (um *UnitManager) bumpGen() { um.gen++ }
 
 // ClusterView refreshes the manager's one cluster snapshot in place —
-// its counts when a scheduling event happened since the last read, its
-// live probes always — and returns it. The refresh is the bind-hot-path
-// cost BenchmarkClusterView guards.
+// its totals and its live probes — and returns it. The refresh is the
+// bind-hot-path cost BenchmarkClusterView guards.
 func (um *UnitManager) ClusterView() *ClusterView {
-	v := um.ensureView()
+	v := um.sumTotals()
 	um.refreshView(v)
 	return v
 }
 
-// ensureView returns the manager's view with its counts current,
-// re-copying them only when the generation counter moved — the fix for
-// demand() recounting on autoscaler ticks where nothing changed.
-func (um *UnitManager) ensureView() *ClusterView {
-	if um.viewGen != um.gen {
-		um.buildView()
-		um.viewGen = um.gen
-	}
-	return um.view
-}
-
-// trackPilot gives a newly registered pilot its in-flight load and its
-// slot in the manager's view.
+// trackPilot registers a pilot by giving it its row in the manager's
+// view.
 func (um *UnitManager) trackPilot(pl *Pilot) {
-	um.pilots = append(um.pilots, pl)
-	um.load[pl] = &pilotLoad{}
-	pv := &PilotView{Pilot: pl}
+	pv := &PilotView{Pilot: pl, slot: len(um.view.Pilots)}
 	um.view.Pilots = append(um.view.Pilots, pv)
 	um.view.byPilot[pl] = pv
 }
 
-// buildView copies the manager's running sums into its view in place —
-// O(pilots), no unit walk, no allocation. The sums are maintained as
-// deltas by setAcct (and the park index's aggregates) on every unit
-// transition; debugViewAudit re-derives them by full walk and
-// cross-checks.
-func (um *UnitManager) buildView() {
+// sumTotals sets the view's manager-wide Waiting/Running counts — the
+// park index's visible aggregates plus the pilot rows — and returns the
+// view: O(pilots), no unit walk, no allocation. Under debugViewAudit
+// every call re-derives the whole ledger by full walk first.
+func (um *UnitManager) sumTotals() *ClusterView {
 	v := um.view
+	v.WaitingUnits = um.park.units + um.park.asideUnits - um.hiddenUnits
+	v.WaitingCores = um.park.cores + um.park.asideCores - um.hiddenCores
+	v.RunningUnits, v.RunningCores = 0, 0
 	for _, pv := range v.Pilots {
-		ld := um.load[pv.Pilot]
-		pv.InFlightUnits, pv.InFlightCores = ld.units, ld.cores
-		pv.DoneUnits, pv.FailedUnits = ld.done, ld.failed
-		pv.WaitingUnits, pv.WaitingCores = ld.waitingUnits, ld.waitingCores
-		pv.RunningUnits, pv.RunningCores = ld.runningUnits, ld.runningCores
+		v.WaitingUnits += pv.WaitingUnits
+		v.WaitingCores += pv.WaitingCores
+		v.RunningUnits += pv.RunningUnits
+		v.RunningCores += pv.RunningCores
 	}
-	v.WaitingUnits = um.park.units + um.park.asideUnits - um.hiddenUnits + um.boundWaitingUnits
-	v.WaitingCores = um.park.cores + um.park.asideCores - um.hiddenCores + um.boundWaitingCores
-	v.RunningUnits, v.RunningCores = um.runningUnits, um.runningCores
-	v.HeldUnits, v.HeldCores = um.heldUnits, um.heldCores
 	if debugViewAudit {
 		um.auditView(v)
 	}
+	return v
 }
 
-// debugViewAudit turns on the full-walk cross-check of the incremental
-// accounting inside buildView. Tests flip it; production reads stay
-// O(pilots).
+// debugViewAudit turns on the full-walk cross-check of the ledger
+// inside sumTotals. Tests flip it; production reads stay O(pilots).
 var debugViewAudit = false
 
-// auditView re-derives the view's counts the pre-incremental way — a
-// full walk over the park index, the held map and the charged map — and
-// panics on any mismatch with the running sums.
+// tally is a ledger row as auditView re-derives it: waiting, running
+// and held units, each followed by their summed cores.
+type tally [6]int
+
+// add counts u into the tally at i: 0 waiting, 2 running, 4 held.
+func (t *tally) add(i int, u *Unit) {
+	t[i]++
+	t[i+1] += u.Desc.Cores
+}
+
+// auditView re-derives the ledger the pre-incremental way — a full walk
+// over the park index and the live set, classifying each unit by its
+// state — and panics on any mismatch with any pilot's row or with the
+// view's totals. Up to 64 pilots it allocates nothing.
 func (um *UnitManager) auditView(v *ClusterView) {
-	var waitU, waitC, runU, runC, heldU, heldC int
+	var total tally
 	um.park.forEachUnit(func(u *Unit) {
 		if um.hiding && u.parkSeq < um.hideBoundary {
 			return // in the running pass's batch: hidden, like the old detach
 		}
-		waitU++
-		waitC += u.Desc.Cores
+		total.add(0, u)
 	})
-	for u := range um.held {
-		if u.State() != UnitPendingInput {
-			continue
-		}
-		heldU++
-		heldC += u.Desc.Cores
+	var scratch [64]tally // stack room for the usual pilot counts
+	rows := scratch[:0]
+	for range v.Pilots {
+		rows = append(rows, tally{})
 	}
-	for u := range um.charged {
+	for u := range um.live {
 		switch st := u.State(); {
-		case st.Final():
+		case st == UnitPendingInput:
+			total.add(4, u)
+		case st.Final() || u.acctView == nil:
+			// Neither held nor bound: left uncounted, so the sums drift.
 		case st < UnitExecuting:
-			waitU++
-			waitC += u.Desc.Cores
+			rows[u.acctView.slot].add(0, u)
 		default:
-			runU++
-			runC += u.Desc.Cores
+			rows[u.acctView.slot].add(2, u)
 		}
 	}
-	if waitU != v.WaitingUnits || waitC != v.WaitingCores ||
-		runU != v.RunningUnits || runC != v.RunningCores ||
-		heldU != v.HeldUnits || heldC != v.HeldCores {
-		panic(fmt.Sprintf("core: incremental view drift: walk says waiting %d/%d running %d/%d held %d/%d, sums say %d/%d %d/%d %d/%d",
-			waitU, waitC, runU, runC, heldU, heldC,
-			v.WaitingUnits, v.WaitingCores, v.RunningUnits, v.RunningCores, v.HeldUnits, v.HeldCores))
+	for i, pv := range v.Pilots {
+		if row := (tally{pv.WaitingUnits, pv.WaitingCores, pv.RunningUnits, pv.RunningCores}); rows[i] != row {
+			panic(fmt.Sprintf("core: ledger drift on pilot %s: walk says %v, row says %v (waiting, running, held: units, cores)",
+				pv.Pilot.ID, rows[i], row))
+		}
+		for j := range 4 {
+			total[j] += rows[i][j]
+		}
+	}
+	if view := (tally{v.WaitingUnits, v.WaitingCores, v.RunningUnits, v.RunningCores, v.HeldUnits, v.HeldCores}); total != view {
+		panic(fmt.Sprintf("core: ledger drift: walk says %v, view says %v (waiting, running, held: units, cores)", total, view))
 	}
 }
 
@@ -261,8 +266,8 @@ func (um *UnitManager) auditView(v *ClusterView) {
 // capacity (a YARN pilot's live NodeManager vcores), attached stores —
 // and reports whether any pilot has a live attached store. These change
 // outside the manager's event stream (a resize completing, a replica
-// staging), so every consumer re-probes rather than trusting the
-// memoized counts; the bind loop calls this before each offer. It
+// staging), so every consumer re-probes them; the bind loop calls this
+// before each offer. It
 // allocates nothing and costs O(pilots × NodeManagers), independent of
 // how many units or YARN applications have run.
 func (um *UnitManager) refreshProbes(v *ClusterView) bool {
@@ -322,7 +327,7 @@ func (um *UnitManager) refreshView(v *ClusterView) {
 		}
 		addInputs(u)
 	})
-	for u := range um.charged {
+	for u := range um.live {
 		if u.acct == acctBoundWaiting {
 			addInputs(u)
 		}

@@ -210,7 +210,7 @@ func (s *continuousScheduler) remove(w *schedWaiter) {
 // contrast to other RADICAL-Pilot schedulers, it specifically utilizes
 // memory in addition to cores for assigning resource slots", using
 // cluster state from the ResourceManager's REST API. Each unit is
-// charged its own container plus its Application Master container, which
+// allocated its own container plus its Application Master container, which
 // also prevents AM-starvation deadlocks in the underlying cluster.
 type yarnScheduler struct {
 	eng       *sim.Engine
@@ -226,7 +226,7 @@ type yarnScheduler struct {
 }
 
 // amOverhead is the managed Application Master container footprint
-// charged per unit (RADICAL-Pilot's AM is a small Java shim).
+// reserved per unit (RADICAL-Pilot's AM is a small Java shim).
 var amOverhead = Slot{Cores: 1, MemMB: 512}
 
 // NewYARNScheduler builds the memory-and-cores scheduler used by the

@@ -42,19 +42,35 @@ const (
 // that have not reached a final state.
 type Candidate struct {
 	Pilot *Pilot
-	// InFlightUnits counts units bound to the pilot that have not yet
-	// reached a final state; InFlightCores is their summed core demand.
-	InFlightUnits int
-	InFlightCores int
 	// View is the pilot's slice of the manager's ClusterView at offer
 	// time — capacity, demand split, and the attached data store's
 	// occupancy in one place. It is set on every candidate the manager
 	// offers; hand-built candidates (tests, custom harnesses) may leave
 	// it nil, in which case the accessors below probe the pilot directly.
-	// It points into the manager's one view, which is refreshed in place
-	// before every offer: read it during Pick, do not retain it across
+	// It points into the manager's one view, whose pilot row is the
+	// manager's ledger for the pilot and whose probes refresh before
+	// every offer: read it during Pick, do not retain it across
 	// scheduling events.
 	View *PilotView
+}
+
+// InFlightUnits counts units bound to the pilot that have not yet
+// reached a final state, read off the offer-time View; hand-built
+// candidates without a View have no manager bookkeeping and report 0.
+func (c *Candidate) InFlightUnits() int {
+	if c.View == nil {
+		return 0
+	}
+	return c.View.InFlightUnits()
+}
+
+// InFlightCores is the summed core demand of the in-flight units, read
+// off the View like InFlightUnits.
+func (c *Candidate) InFlightCores() int {
+	if c.View == nil {
+		return 0
+	}
+	return c.View.InFlightCores()
 }
 
 // CoreCapacity estimates the pilot's total core capacity (see
@@ -87,7 +103,7 @@ func pilotCoreCapacity(pl *Pilot) int {
 }
 
 // FreeCores is CoreCapacity minus the cores already in flight.
-func (c *Candidate) FreeCores() int { return c.CoreCapacity() - c.InFlightCores }
+func (c *Candidate) FreeCores() int { return c.CoreCapacity() - c.InFlightCores() }
 
 // UnitScheduler is the Unit-Manager's pluggable placement policy: it
 // decides which pilot each submitted unit binds to, and when. One
@@ -185,7 +201,7 @@ func (*leastLoadedScheduler) Name() string { return SchedulerLeastLoaded }
 func (*leastLoadedScheduler) Pick(_ *sim.Proc, _ *Unit, cands []*Candidate) (*Pilot, error) {
 	best := cands[0]
 	for _, c := range cands[1:] {
-		if c.InFlightUnits < best.InFlightUnits {
+		if c.InFlightUnits() < best.InFlightUnits() {
 			best = c
 		}
 	}
@@ -211,11 +227,11 @@ func pickAdmissible(u *Unit, cands []*Candidate, score func(*Candidate) int64) (
 		if st := c.Pilot.State(); st != PilotActive && st != PilotResizing {
 			continue
 		}
-		if capacity > 0 && capacity-c.InFlightCores < u.Desc.Cores {
+		if capacity > 0 && capacity-c.InFlightCores() < u.Desc.Cores {
 			continue
 		}
 		s := score(c)
-		if best == nil || s > bestScore || (s == bestScore && c.InFlightCores < best.InFlightCores) {
+		if best == nil || s > bestScore || (s == bestScore && c.InFlightCores() < best.InFlightCores()) {
 			best, bestScore = c, s
 		}
 	}
@@ -279,7 +295,7 @@ func (s *localityScheduler) Pick(p *sim.Proc, u *Unit, cands []*Candidate) (*Pil
 				continue
 			}
 			if best == nil || bytes > bestBytes ||
-				(bytes == bestBytes && c.InFlightUnits < best.InFlightUnits) {
+				(bytes == bestBytes && c.InFlightUnits() < best.InFlightUnits()) {
 				best, bestBytes = c, bytes
 			}
 		}

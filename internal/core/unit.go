@@ -28,19 +28,23 @@ type Unit struct {
 	// Err records the failure cause for UnitFailed.
 	Err error
 
-	// acct is the ClusterView bucket the unit currently occupies and
-	// acctPilot the pilot that bucket is attributed to (bound units
-	// only); the manager maintains both through setAcct so views are
-	// running sums instead of per-read walks. parkSeq is the unit's
-	// current park-index stamp — entries below a pass's batch boundary
-	// are hidden from views while the pass runs, exactly like the old
-	// detached batch slice was.
-	acct      acctPhase
-	acctPilot *Pilot
-	parkSeq   uint64
+	// acct is the unit's ledger phase and acctView the pilot row of the
+	// manager's ClusterView it is counted in (bound phases only); setAcct
+	// is their only writer. unresolved counts the unreplicated inputs a
+	// held unit still waits for (an int32 beside acct keeps Unit at 256
+	// bytes). parkSeq is the unit's current park-index stamp — entries
+	// below a pass's batch boundary are hidden from views while the pass
+	// runs, exactly like the old detached batch slice was.
+	acct       acctPhase
+	unresolved int32
+	acctView   *PilotView
+	parkSeq    uint64
 }
 
-// acctPhase names the ClusterView bucket a unit occupies; see setAcct.
+// acctPhase is a unit's phase in the Unit-Manager's ledger — the one
+// in-flight record every view, candidate and demand() read derives
+// from; see setAcct. Phases from acctHeld on are live: the manager's
+// live set holds exactly those units.
 type acctPhase uint8
 
 const (
@@ -183,12 +187,16 @@ func (u *Unit) cancel() {
 type UnitManager struct {
 	session *Session
 	policy  UnitScheduler
-	pilots  []*Pilot
 
-	// load tracks per-pilot in-flight demand; charged maps each bound,
-	// not-yet-final unit to the pilot currently charged for it.
-	load    map[*Pilot]*pilotLoad
-	charged map[*Unit]*Pilot
+	// view is the manager's one ClusterView, refreshed in place; its
+	// Pilots are the registered pilots' rows, in registration order. Its
+	// per-pilot rows and Held counts are the in-flight ledger itself:
+	// setAcct writes them on every unit transition. live holds the units
+	// in a live phase (held, bound-waiting, running) — the set failover,
+	// the pending-input-byte walk and the audit visit; parked units stay
+	// out of it, the park index owns them.
+	view *ClusterView
+	live map[*Unit]struct{}
 
 	// park indexes the units awaiting (re)binding by (priority,
 	// submission order) and, for capacity-gated policies, by core
@@ -205,14 +213,6 @@ type UnitManager struct {
 	fullReoffer bool
 	pilotGen    uint64
 	cands       passCands
-	// held maps each unit parked in UnitPendingInput to its count of
-	// unresolved input Data-Units. A unit enters the map at Submit when
-	// some input is not yet replicated, and leaves it either into the
-	// pending queue (every input reached StateReplicated — the
-	// dependency-aware release) or into UnitFailed (an input retired
-	// unread). Held units are demand that cannot run yet: ClusterView
-	// reports them as Held, not Waiting.
-	held map[*Unit]int
 	// rc is the content-addressed result cache (WithResultCache), nil
 	// without the option — the nil check is the only cost the cache adds
 	// to an unconfigured manager. rcKeys maps each in-flight leader unit
@@ -232,30 +232,19 @@ type UnitManager struct {
 	rerun    bool
 	passDone *sim.Event
 
-	// view is the manager's one ClusterView, refreshed in place; gen
-	// counts scheduling events and unit state changes, and the view's
-	// counts (and with them demand()) are re-copied only when it moved
-	// past viewGen.
-	view    *ClusterView
-	gen     uint64
-	viewGen uint64
-	// sampleGen is the generation the flight recorder last sampled gauges
-	// at: one gauge reading per scheduling-event generation, not per kick.
+	// gen counts scheduling events and unit state changes; sampleGen is
+	// the generation the flight recorder last sampled gauges at: one
+	// gauge reading per generation, not per kick.
+	gen       uint64
 	sampleGen uint64
 
-	// Incremental ClusterView accounting: manager-wide running sums
-	// maintained by setAcct on unit transitions, so a view read is an
-	// O(pilots) copy instead of an O(in-flight) walk. Parked units are
-	// counted by the park index's own aggregates; hiddenUnits/
-	// hiddenCores subtract the in-pass batch from the waiting counts
-	// while a pass runs (mirroring the old detached batch slice), with
-	// hideBoundary the park-seq boundary that defines the batch.
-	boundWaitingUnits, boundWaitingCores int
-	runningUnits, runningCores           int
-	heldUnits, heldCores                 int
-	hiding                               bool
-	hideBoundary                         uint64
-	hiddenUnits, hiddenCores             int
+	// hiddenUnits/hiddenCores subtract the in-pass batch from the parked
+	// waiting counts while a pass runs (mirroring the old detached batch
+	// slice), with hideBoundary the park-seq boundary that defines the
+	// batch.
+	hiding                   bool
+	hideBoundary             uint64
+	hiddenUnits, hiddenCores int
 
 	// passes counts completed schedule-pass batches and offered the
 	// units handed to the policy across them (a unit re-offered by a
@@ -265,71 +254,51 @@ type UnitManager struct {
 	offered int64
 }
 
-type pilotLoad struct {
-	units int
-	cores int
-	// waiting/running split the in-flight load for PilotView, maintained
-	// as deltas by setAcct.
-	waitingUnits, waitingCores int
-	runningUnits, runningCores int
-	// done and failed count units bound to the pilot that reached a
-	// final state — lifetime totals, never decremented. They feed
-	// PilotView and the telemetry plane's per-pilot accounting.
-	done   int64
-	failed int64
-}
-
-// setAcct moves u between ClusterView buckets, applying the deltas to
-// the manager-wide and per-pilot running sums. It is the single place
-// incremental accounting mutates, so every transition path (submit,
-// hold, release, bind, execute, final) stays balanced by construction;
-// the auditView cross-check recomputes the sums by full walk in tests.
-func (um *UnitManager) setAcct(u *Unit, phase acctPhase, pl *Pilot) {
-	if u.acct == phase && u.acctPilot == pl {
+// setAcct moves u to ledger phase phase, counted in the pilot row pv
+// (bound phases only). It is the only code that mutates in-flight
+// counts: it moves the unit's demand between the view's Held counts and
+// its pilot rows' Waiting/Running counts, keeps the live set, and
+// credits a unit leaving its pilot row in a final state to the row's
+// lifetime Done/Failed counters — so every transition path (submit,
+// hold, release, bind, execute, final) stays balanced by construction.
+// The auditView cross-check re-derives the counts by full walk in tests.
+func (um *UnitManager) setAcct(u *Unit, phase acctPhase, pv *PilotView) {
+	if u.acct == phase && u.acctView == pv {
 		return
 	}
-	cores := u.Desc.Cores
-	switch u.acct {
-	case acctParked:
-		// The park index's aggregates carry parked counts; nothing to
-		// undo here.
-	case acctHeld:
-		um.heldUnits--
-		um.heldCores -= cores
-	case acctBoundWaiting:
-		um.boundWaitingUnits--
-		um.boundWaitingCores -= cores
-		if ld := um.load[u.acctPilot]; ld != nil {
-			ld.waitingUnits--
-			ld.waitingCores -= cores
-		}
-	case acctRunning:
-		um.runningUnits--
-		um.runningCores -= cores
-		if ld := um.load[u.acctPilot]; ld != nil {
-			ld.runningUnits--
-			ld.runningCores -= cores
+	wasLive := u.acct >= acctHeld
+	um.count(u, -1)
+	if old := u.acctView; old != nil && u.state.Final() {
+		if u.state == UnitDone {
+			old.DoneUnits++
+		} else {
+			old.FailedUnits++
 		}
 	}
-	u.acct, u.acctPilot = phase, pl
-	switch phase {
+	u.acct, u.acctView = phase, pv
+	um.count(u, 1)
+	switch isLive := phase >= acctHeld; {
+	case isLive && !wasLive:
+		um.live[u] = struct{}{}
+	case wasLive && !isLive:
+		delete(um.live, u)
+	}
+}
+
+// count adds sign times u's demand to the ledger row its phase occupies;
+// parked units are counted by the park index instead.
+func (um *UnitManager) count(u *Unit, sign int) {
+	cores := sign * u.Desc.Cores
+	switch u.acct {
 	case acctHeld:
-		um.heldUnits++
-		um.heldCores += cores
+		um.view.HeldUnits += sign
+		um.view.HeldCores += cores
 	case acctBoundWaiting:
-		um.boundWaitingUnits++
-		um.boundWaitingCores += cores
-		if ld := um.load[pl]; ld != nil {
-			ld.waitingUnits++
-			ld.waitingCores += cores
-		}
+		u.acctView.WaitingUnits += sign
+		u.acctView.WaitingCores += cores
 	case acctRunning:
-		um.runningUnits++
-		um.runningCores += cores
-		if ld := um.load[pl]; ld != nil {
-			ld.runningUnits++
-			ld.runningCores += cores
-		}
+		u.acctView.RunningUnits += sign
+		u.acctView.RunningCores += cores
 	}
 }
 
@@ -370,10 +339,8 @@ func NewUnitManager(s *Session, opts ...UnitManagerOption) (*UnitManager, error)
 	um := &UnitManager{
 		session: s,
 		policy:  policy,
-		load:    make(map[*Pilot]*pilotLoad),
 		view:    &ClusterView{byPilot: make(map[*Pilot]*PilotView)},
-		charged: make(map[*Unit]*Pilot),
-		held:    make(map[*Unit]int),
+		live:    make(map[*Unit]struct{}),
 		wake:    sim.NewQueue[struct{}](s.eng),
 	}
 	_, um.policyGated = policy.(CapacityGated)
@@ -403,10 +370,8 @@ func (um *UnitManager) AddPilot(pl *Pilot) error {
 	if pl == nil {
 		return fmt.Errorf("core: nil pilot")
 	}
-	for _, q := range um.pilots {
-		if q == pl {
-			return fmt.Errorf("core: pilot %s already added", pl.ID)
-		}
+	if um.view.For(pl) != nil {
+		return fmt.Errorf("core: pilot %s already added", pl.ID)
 	}
 	um.trackPilot(pl)
 	um.pilotGen++
@@ -424,17 +389,6 @@ func (um *UnitManager) AddPilot(pl *Pilot) error {
 		um.kick()
 	})
 	return nil
-}
-
-// livePilots returns the registered pilots not in a final state.
-func (um *UnitManager) livePilots() []*Pilot {
-	live := make([]*Pilot, 0, len(um.pilots))
-	for _, pl := range um.pilots {
-		if !pl.State().Final() {
-			live = append(live, pl)
-		}
-	}
-	return live
 }
 
 // kick wakes the bind loop; kicks coalesce (at most one wake buffered).
@@ -511,11 +465,10 @@ func (um *UnitManager) sampleGauges() {
 // demand summarizes the manager's current workload for autoscaling:
 // units not yet executing (parked in the manager plus bound but still
 // queued or in agent scheduling/staging-in) and units currently
-// executing, with their summed core demands, read off the manager's
-// view; the counts are re-copied only after a scheduling event, so an
-// autoscaler tick arriving while nothing changed reuses the last copy.
+// executing, with their summed core demands — the manager-wide totals
+// of its view, summed over the pilot rows in O(pilots).
 func (um *UnitManager) demand() (waitingUnits, waitingCores, runningUnits, runningCores int) {
-	v := um.ensureView()
+	v := um.sumTotals()
 	return v.WaitingUnits, v.WaitingCores, v.RunningUnits, v.RunningCores
 }
 
@@ -644,7 +597,7 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 	um.offered++
 	pc := &um.cands
 	if len(pc.list) == 0 {
-		u.fail(fmt.Errorf("core: unit %s: %w among %d registered", u.ID, ErrNoLivePilot, len(um.pilots)))
+		u.fail(fmt.Errorf("core: unit %s: %w among %d registered", u.ID, ErrNoLivePilot, len(um.view.Pilots)))
 		return
 	}
 	pl, err := um.policy.Pick(p, u, pc.list)
@@ -675,16 +628,12 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 		return
 	}
 	u.Pilot = pl
-	um.charged[u] = pl
-	ld := um.load[pl]
-	ld.units++
-	ld.cores += u.Desc.Cores
-	um.setAcct(u, acctBoundWaiting, pl)
+	detail := ""
+	if um.session.rec != nil { // the load the policy saw, before this bind
+		detail = fmt.Sprintf("%d/%d cores in flight", c.View.InFlightCores(), c.View.TotalCores)
+	}
+	um.setAcct(u, acctBoundWaiting, c.View)
 	if r := um.session.rec; r != nil {
-		detail := ""
-		if pv := c.View; pv != nil {
-			detail = fmt.Sprintf("%d/%d cores in flight", pv.InFlightCores, pv.TotalCores)
-		}
 		r.Record(obs.Event{
 			Kind: obs.KindBind, Unit: u.ID, Name: u.Desc.Name, Pilot: pl.ID,
 			Policy: um.policy.Name(), Cores: u.Desc.Cores, Detail: detail,
@@ -711,9 +660,9 @@ func (um *UnitManager) parkAgain(u *Unit) {
 // passCands is the per-pass candidate set: one Candidate per live
 // pilot, with a membership map replacing the old per-unit linear scan.
 // The set rebuilds only when the pilot topology or a pilot's state
-// changed (pilotGen); the numeric fields and live probes refresh from
-// the manager's one ClusterView before every offer, in place and
-// without allocating.
+// changed (pilotGen); each candidate's View is its pilot's row of the
+// manager's one ClusterView, whose live probes refresh before every
+// offer, in place and without allocating.
 type passCands struct {
 	um       *UnitManager
 	pilotGen uint64
@@ -735,53 +684,35 @@ func (pc *passCands) admits(cores int) bool { return cores <= pc.maxFree }
 func (pc *passCands) ensure() {
 	um := pc.um
 	if !pc.built || pc.pilotGen != um.pilotGen {
-		live := um.livePilots()
-		pc.all = make([]Candidate, len(live))
+		rows := um.view.Pilots
+		pc.all = make([]Candidate, 0, len(rows)) // never regrows: list points into it
 		pc.list = pc.list[:0]
-		pc.byPilot = make(map[*Pilot]*Candidate, len(live))
-		for i, pl := range live {
-			c := &pc.all[i]
-			c.Pilot = pl
+		pc.byPilot = make(map[*Pilot]*Candidate, len(rows))
+		for _, pv := range rows {
+			if pv.Pilot.State().Final() {
+				continue
+			}
+			pc.all = append(pc.all, Candidate{Pilot: pv.Pilot, View: pv})
+			c := &pc.all[len(pc.all)-1]
 			pc.list = append(pc.list, c)
-			pc.byPilot[pl] = c
+			pc.byPilot[c.Pilot] = c
 		}
 		pc.built = true
 		pc.pilotGen = um.pilotGen
 	}
-	v := um.ensureView()
-	um.refreshProbes(v)
+	um.refreshProbes(um.sumTotals())
 	pc.maxFree = 0
 	for _, c := range pc.list {
-		pv := v.byPilot[c.Pilot]
-		c.View = pv
-		c.InFlightUnits, c.InFlightCores = pv.InFlightUnits, pv.InFlightCores
+		pv := c.View
 		if st := pv.State; st != PilotActive && st != PilotResizing {
 			continue
 		}
-		switch free := pv.TotalCores - pv.InFlightCores; {
+		switch free := pv.FreeCores(); {
 		case pv.TotalCores == 0:
 			pc.maxFree = int(^uint(0) >> 1) // unknown capacity admits all
 		case free > pc.maxFree:
 			pc.maxFree = free
 		}
-	}
-}
-
-// countFinal credits a finished unit to its pilot's lifetime
-// completion counters. Cache-completed units never bound, so they have
-// no pilot to credit; their accounting lives in the cache counters.
-func (um *UnitManager) countFinal(u *Unit, st UnitState) {
-	if u.Pilot == nil {
-		return
-	}
-	ld := um.load[u.Pilot]
-	if ld == nil {
-		return
-	}
-	if st == UnitDone {
-		ld.done++
-	} else {
-		ld.failed++
 	}
 }
 
@@ -794,33 +725,19 @@ func (um *UnitManager) BindPassStats() (passes, offered int64) {
 	return um.passes, um.offered
 }
 
-// uncharge drops the unit from the in-flight bookkeeping.
-func (um *UnitManager) uncharge(u *Unit) {
-	pl, ok := um.charged[u]
-	if !ok {
-		return
-	}
-	delete(um.charged, u)
-	if ld := um.load[pl]; ld != nil {
-		ld.units--
-		ld.cores -= u.Desc.Cores
-	}
-}
-
 // rebindOrphans moves units that were bound to the dead pilot but never
 // picked up by its agent back into the pending queue. Clearing u.Pilot
 // makes the dead pilot's queued copy stale (the agent-side guard drops
 // it), so a unit can never run twice.
 func (um *UnitManager) rebindOrphans(dead *Pilot) {
 	var orphans []*Unit
-	for u, pl := range um.charged {
-		if pl == dead && u.State() == UnitPendingAgent {
+	for u := range um.live {
+		if pv := u.acctView; pv != nil && pv.Pilot == dead && u.State() == UnitPendingAgent {
 			orphans = append(orphans, u)
 		}
 	}
 	sort.Slice(orphans, func(i, j int) bool { return orphans[i].ID < orphans[j].ID })
 	for _, u := range orphans {
-		um.uncharge(u)
 		u.Pilot = nil
 		// Failover rebinds enter the must tier: the next pass is a full
 		// one anyway (the pilot's death set fullReoffer), and their
@@ -847,7 +764,7 @@ func (um *UnitManager) rebindOrphans(dead *Pilot) {
 // pilot was added; a unit that can never be placed fails individually
 // (see ErrNoLivePilot, ErrUnschedulable) rather than failing the batch.
 func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*Unit, error) {
-	if len(um.pilots) == 0 {
+	if len(um.view.Pilots) == 0 {
 		return nil, fmt.Errorf("core: %w", ErrNoPilots)
 	}
 	units := make([]*Unit, 0, len(descs))
@@ -864,12 +781,10 @@ func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*U
 		u.OnStateChange(func(u *Unit, st UnitState) {
 			um.bumpGen() // any transition can shift the waiting/running split
 			if st == UnitExecuting {
-				um.setAcct(u, acctRunning, u.acctPilot)
+				um.setAcct(u, acctRunning, u.acctView)
 			}
 			if st.Final() {
 				um.setAcct(u, acctNone, nil)
-				um.countFinal(u, st)
-				um.uncharge(u)
 				// A leader's end releases its coalesced waiters. Waiters
 				// sent back to execute will produce the dead leader's
 				// declared outputs themselves, so those outputs are not
@@ -901,7 +816,7 @@ func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*U
 			// Dependency-aware late binding: the unit is not offered to
 			// the policy until every input Data-Unit is replicated. The
 			// watch callbacks release (or fail) it.
-			um.held[u] = unresolved
+			u.unresolved = int32(unresolved)
 			um.setAcct(u, acctHeld, nil)
 			um.recordHold(u, unresolved)
 			u.advance(UnitPendingInput)
@@ -968,15 +883,12 @@ func (um *UnitManager) watchInputs(u *Unit) (int, error) {
 // input replicates the unit leaves UnitPendingInput for the pending
 // queue and the bind loop is kicked — the dependency-aware release path.
 func (um *UnitManager) releaseInput(u *Unit) {
-	n, held := um.held[u]
-	if !held {
+	if u.acct != acctHeld {
 		return
 	}
-	if n--; n > 0 {
-		um.held[u] = n
+	if u.unresolved--; u.unresolved > 0 {
 		return
 	}
-	delete(um.held, u)
 	if r := um.session.rec; r != nil {
 		r.Record(obs.Event{Kind: obs.KindRelease, Op: "input", Unit: u.ID,
 			Name: u.Desc.Name, Cores: u.Desc.Cores})
@@ -1001,10 +913,9 @@ func (um *UnitManager) recordHold(u *Unit, unresolved int) {
 // cascades to every transitive consumer through the ErrDataUnavailable
 // path — orphaned descendants never bind.
 func (um *UnitManager) failHeld(u *Unit, err error) {
-	if _, held := um.held[u]; !held {
+	if u.acct != acctHeld {
 		return
 	}
-	delete(um.held, u)
 	if r := um.session.rec; r != nil {
 		r.Record(obs.Event{Kind: obs.KindRelease, Op: "failed", Unit: u.ID,
 			Name: u.Desc.Name, Detail: err.Error()})

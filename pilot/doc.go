@@ -122,14 +122,16 @@
 // vcores), the waiting/running demand split, the attached data store's
 // used/free bytes, and the input bytes parked behind the manager's
 // waiting units. Unit schedulers receive it as Candidate.View; autoscale
-// policies as AutoscaleSnapshot.View. The demand counts are maintained
-// incrementally off the manager's unit accounting (no per-view walk of
-// the in-flight units). Each Unit-Manager owns one view for its whole
-// life and refreshes it in place: the counts are re-copied only after a
-// scheduling event, the live probes on every read, and neither
-// allocates. Readers must not retain a view, or a Candidate.View,
-// across scheduling events; a retained pointer shows whatever the
-// latest read refreshed it to. Rebuilding the view per event had been a
+// policies as AutoscaleSnapshot.View. Each Unit-Manager owns one view
+// for its whole life, and its per-pilot rows are the manager's
+// in-flight ledger: every unit transition (held, bound, running, final)
+// updates the pilot's Waiting/Running/Done/Failed counts in place, and
+// Candidate.InFlightUnits/InFlightCores derive from the same row. A read
+// only sums the rows into the manager-wide totals and re-probes the
+// live figures (capacity, store bytes); it never walks the in-flight
+// units and never allocates. Readers must not retain a view, or a
+// Candidate.View, across scheduling events; a retained pointer shows
+// whatever the ledger and the latest read made of it. Rebuilding the view per event had been a
 // quarter of the bind loop's CPU: on the perfbench manytask workload
 // (10⁵ one-core units on 16 HPC pilots under backfill, seed 42, 2-vCPU
 // Xeon VM) refreshing it in place took throughput from a median of
