@@ -145,6 +145,7 @@ type Session struct {
 	rec       *obs.Recorder
 	reg       *metrics.Registry
 	msrv      *obs.MetricsServer
+	err       error
 	nextPilot int
 	nextUnit  int
 	nextUM    int
@@ -190,6 +191,18 @@ func (s *Session) Metrics() *metrics.Registry { return s.reg }
 
 // MetricsServer returns the attached exposition server (nil when none).
 func (s *Session) MetricsServer() *obs.MetricsServer { return s.msrv }
+
+// SetErr records a failure met while the session was being built, such
+// as a telemetry endpoint that could not listen. The first one is kept.
+func (s *Session) SetErr(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+}
+
+// Err reports the failure recorded by SetErr, nil when the session was
+// built without one.
+func (s *Session) Err() error { return s.err }
 
 // FileTransfer returns the session's SAGA transfer facade — the path
 // Compute-Unit and Data-Unit staging runs over.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"time"
@@ -17,17 +16,28 @@ import (
 type Engine struct {
 	now   time.Duration
 	seq   uint64
-	queue eventHeap
+	queue eventQueue
 
-	// yield is the channel on which the currently running process hands
-	// control back to the kernel. It is shared by all processes because
-	// only one process runs at a time.
-	yield chan struct{}
+	// caller is the goroutine that called Run or Close. Control returns
+	// to it when a run ends and after each kill in Close.
+	caller *worker
+	// free holds idle pooled goroutines, most recently idled first.
+	free *worker
+	// woken and wokenKind are the process the current event woke and how;
+	// the goroutine running the loop switches to it once the callback
+	// returns. wokenKind is also how the woken process learns why it woke.
+	woken     *Proc
+	wokenKind wakeKind
+	// inCallback is set while an At callback runs, so a panic in one is
+	// never mistaken for the death of the process whose goroutine ran it.
+	inCallback bool
 
-	// procs holds live processes in spawn order so that shutdown is
-	// deterministic.
-	procs []*Proc
+	// head and tail link the live processes in spawn order, so that
+	// shutdown is deterministic; live counts them.
+	head, tail *Proc
+	live       int
 
+	horizon  time.Duration
 	running  bool
 	closed   bool
 	trace    io.Writer
@@ -47,7 +57,7 @@ type Engine struct {
 
 // NewEngine returns a ready-to-use engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{caller: &worker{ch: make(chan struct{}), started: true}}
 }
 
 // Now reports the current virtual time as an offset from the start of the
@@ -85,38 +95,74 @@ func (e *Engine) Tracef(format string, args ...any) {
 	}
 }
 
-// item is a scheduled callback. Callbacks run in kernel context: they must
-// not block in virtual time (use Spawn for blocking logic).
+// item is a scheduled event: either a wake of waiter w with kind, or a
+// callback fn. Callbacks run in kernel context: they must not block in
+// virtual time (use Spawn for blocking logic).
 type item struct {
 	at     time.Duration
 	seq    uint64
 	daemon bool
+	kind   wakeKind
+	w      *waiter
 	fn     func()
 }
 
-type eventHeap []*item
+// eventQueue is a binary min-heap of items ordered by (at, seq). Sifts
+// move items into a hole rather than swapping them, halving the writes.
+type eventQueue []item
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func before(a, b *item) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+func (q *eventQueue) push(it item) {
+	h := append(*q, it)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(&it, &h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*item)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+	h[i] = it
+	*q = h
 }
 
-// schedule enqueues fn to run at absolute virtual time at. Times in the
-// past are clamped to the current time.
-func (e *Engine) schedule(at time.Duration, daemon bool, fn func()) *item {
+func (q *eventQueue) pop() item {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = item{} // release the callback and waiter for collection
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && before(&h[r], &h[c]) {
+				c = r
+			}
+			if !before(&h[c], &last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
+}
+
+// schedule enqueues an event at absolute virtual time at: a wake of w with
+// kind, or the callback fn when w is nil. Times in the past are clamped to
+// the current time.
+func (e *Engine) schedule(at time.Duration, daemon bool, w *waiter, kind wakeKind, fn func()) {
 	if e.closed {
 		panic("sim: schedule on closed engine")
 	}
@@ -124,12 +170,10 @@ func (e *Engine) schedule(at time.Duration, daemon bool, fn func()) *item {
 		at = e.now
 	}
 	e.seq++
-	it := &item{at: at, seq: e.seq, daemon: daemon, fn: fn}
 	if !daemon {
 		e.nonDaemon++
 	}
-	heap.Push(&e.queue, it)
-	return it
+	e.queue.push(item{at: at, seq: e.seq, daemon: daemon, kind: kind, w: w, fn: fn})
 }
 
 // At schedules fn to run in kernel context after delay d. fn must not call
@@ -140,7 +184,7 @@ func (e *Engine) At(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, e.curDaemon, fn)
+	e.schedule(e.now+d, e.curDaemon, nil, 0, fn)
 }
 
 // AtDaemon schedules a maintenance callback (timeout enforcement,
@@ -149,7 +193,7 @@ func (e *Engine) AtDaemon(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, true, fn)
+	e.schedule(e.now+d, true, nil, 0, fn)
 }
 
 // Run executes events until the simulation quiesces: the queue is empty,
@@ -172,23 +216,116 @@ func (e *Engine) RunUntil(horizon time.Duration) {
 		panic("sim: Run on closed engine")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	e.horizon = horizon
+	defer func() { e.running, e.inCallback = false, false }()
+	e.dispatch(e.caller)
+	e.curDaemon = false
+	if horizon > e.now {
+		e.now = horizon
+	}
+}
+
+// next runs events in (at, seq) order until one wakes a process, and
+// returns that process; nil means the run is over.
+func (e *Engine) next() *Proc {
 	for len(e.queue) > 0 && (e.liveNormal > 0 || e.nonDaemon > 0) {
-		if horizon >= 0 && e.queue[0].at > horizon {
+		if e.horizon >= 0 && e.queue[0].at > e.horizon {
 			break
 		}
-		it := heap.Pop(&e.queue).(*item)
+		it := e.queue.pop()
 		if !it.daemon {
 			e.nonDaemon--
 		}
 		e.now = it.at
 		e.curDaemon = it.daemon
-		it.fn()
+		if it.w != nil {
+			it.w.wake(it.kind)
+		} else {
+			e.inCallback = true
+			it.fn()
+			e.inCallback = false
+		}
+		if p := e.woken; p != nil {
+			e.woken = nil
+			return p
+		}
 	}
-	e.curDaemon = false
-	if horizon > e.now {
-		e.now = horizon
+	return nil
+}
+
+// dispatch runs the event loop on self, the goroutine that holds control,
+// until an event wakes a process or the run ends. It then passes control
+// to the woken process, or to Run's caller, and returns once control is
+// back with self. A wake of self's own process returns with no switch.
+func (e *Engine) dispatch(self *worker) {
+	to := e.pick(self)
+	if to == self {
+		return
 	}
+	if e.idle(self) {
+		self.next, e.free = e.free, self
+	}
+	e.handoff(to)
+	<-self.ch
+}
+
+// idle reports whether w is a pooled goroutine with no process.
+func (e *Engine) idle(w *worker) bool { return w.p == nil && w != e.caller }
+
+// pick runs events until one wakes a process and returns the goroutine
+// that should run next: the woken process's, or Run's caller's once the
+// run is over. Outside Run, Close is killing processes, and control goes
+// straight back to it.
+func (e *Engine) pick(self *worker) *worker {
+	if !e.running {
+		return e.caller
+	}
+	p := e.next()
+	if p == nil {
+		return e.caller
+	}
+	e.curDaemon = p.daemon // schedules from process context inherit
+	if p.w == nil {
+		e.start(self, p)
+	}
+	return p.w
+}
+
+// start binds a process that has not run yet to a goroutine: self when
+// self is an idle worker, else a pooled one, else a new one.
+func (e *Engine) start(self *worker, p *Proc) {
+	w := self
+	switch {
+	case e.idle(self):
+	case e.free != nil:
+		w, e.free = e.free, e.free.next
+		w.next = nil
+	default:
+		w = &worker{ch: make(chan struct{})}
+	}
+	w.p, p.w = p, w
+}
+
+// handoff passes control to the goroutine of to, starting it if it is new.
+// The caller must block or exit right after, touching no engine state.
+func (e *Engine) handoff(to *worker) {
+	if to.started {
+		to.ch <- struct{}{}
+		return
+	}
+	to.started = true
+	go e.work(to)
+}
+
+// work is the body of a pooled goroutine. It runs one process after
+// another, keeping the stack it has grown, until Close finds it idle.
+func (e *Engine) work(w *worker) {
+	for w.p != nil {
+		w.p.run()
+		w.p = nil
+		e.dispatch(w)
+	}
+	e.caller.ch <- struct{}{}
 }
 
 // Close terminates all still-live processes in spawn order and discards
@@ -200,37 +337,26 @@ func (e *Engine) Close() {
 	}
 	// Killing a process may spawn cleanup work or trigger events; loop
 	// until the live set is empty.
-	for {
-		var p *Proc
-		for _, q := range e.procs {
-			if !q.done {
-				p = q
-				break
-			}
+	for p := e.head; p != nil; p = e.head {
+		if p.w == nil {
+			p.finish() // never started: nothing to unwind
+			continue
 		}
-		if p == nil {
-			break
-		}
-		if !p.blocked {
-			// Not yet started: it is parked on its initial resume.
-			p.blocked = true
-		}
-		p.resumeWith(wakeKilled)
+		e.wokenKind = wakeKilled
+		e.handoff(p.w)
+		<-e.caller.ch
+	}
+	// Idle workers see no process and exit.
+	for w := e.free; w != nil; w = e.free {
+		e.free = w.next
+		e.handoff(w)
+		<-e.caller.ch
 	}
 	e.queue = nil
-	e.procs = nil
 	e.nonDaemon = 0
 	e.closed = true
 }
 
 // Processes reports the number of live (not yet finished) processes. It is
 // primarily useful in tests to assert that no process leaked.
-func (e *Engine) Processes() int {
-	n := 0
-	for _, p := range e.procs {
-		if !p.done {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) Processes() int { return e.live }

@@ -26,11 +26,10 @@ func (ev *Event) Trigger() {
 	ws := ev.waiters
 	ev.waiters = nil
 	for _, w := range ws {
-		w := w
 		// The wake inherits the woken process's daemon-ness, not the
 		// triggering context's: a daemon completing work for a normal
 		// process must still count as normal activity.
-		ev.eng.schedule(ev.eng.now, w.p.daemon, func() { w.wake(wakeFired) })
+		ev.eng.schedule(ev.eng.now, w.p.daemon, w, wakeFired, nil)
 	}
 }
 

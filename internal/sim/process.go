@@ -59,15 +59,19 @@ func OnInterrupt(fn func()) (intr *Interrupted) {
 // is only valid inside the function passed to Engine.Spawn and must not be
 // shared with other processes.
 type Proc struct {
-	eng    *Engine
-	name   string
-	id     int
-	resume chan wakeKind
+	eng  *Engine
+	name string
+	id   int
+	fn   func(p *Proc) // the body, until the process starts
+	// w is the goroutine running the process, nil before it starts and
+	// after it finishes.
+	w *worker
+	// start is the waiter the spawn event wakes.
+	start waiter
+	// prev and next link the engine's live processes in spawn order.
+	prev, next *Proc
 
-	// blocked and done are manipulated only while the kernel and the
-	// process are correctly synchronized, so they need no lock.
-	blocked bool
-	done    bool
+	done bool
 
 	// daemon marks service-loop processes that must not keep the
 	// simulation alive (see Engine.SpawnDaemon).
@@ -80,6 +84,16 @@ type Proc struct {
 	// won); it is delivered at the next blocking point.
 	pendingInt    any
 	hasPendingInt bool
+}
+
+// worker is a pooled goroutine that runs processes one after another, or
+// the goroutine that called Run. Whoever holds control runs the event
+// loop; the others block on their ch until control is handed to them.
+type worker struct {
+	ch      chan struct{}
+	p       *Proc   // the process it runs; nil while idle
+	next    *worker // next idle worker on the engine's free list
+	started bool    // its goroutine exists
 }
 
 // Interrupt requests that p's current (or, if it is running, next)
@@ -150,61 +164,79 @@ func (e *Engine) spawn(d time.Duration, name string, daemon bool, fn func(p *Pro
 		panic("sim: Spawn on closed engine")
 	}
 	e.nspawned++
-	p := &Proc{eng: e, name: name, id: e.nspawned, daemon: daemon, resume: make(chan wakeKind)}
-	e.procs = append(e.procs, p)
+	p := &Proc{eng: e, name: name, id: e.nspawned, daemon: daemon, fn: fn}
+	p.start.p = p
+	if e.tail == nil {
+		e.head = p
+	} else {
+		e.tail.next, p.prev = p, e.tail
+	}
+	e.tail = p
+	e.live++
 	if !daemon {
 		e.liveNormal++
 	}
-	go func() {
-		defer func() {
-			p.done = true
-			if !p.daemon {
-				e.liveNormal--
-			}
-			r := recover()
-			if _, stopped := r.(stoppedError); stopped {
-				r = nil
-			}
-			if _, interrupted := r.(*Interrupted); interrupted {
-				// An unhandled interrupt terminates the process cleanly,
-				// like a signal-killed task; defers have already run.
-				r = nil
-			}
-			if r != nil {
-				// A real panic in simulation code: surface it with the
-				// process identity attached. This crashes the program,
-				// which is the desired behaviour for a kernel-level bug.
-				panic(fmt.Sprintf("sim: process %q panicked at %s: %v", p.name, p.eng.now, r))
-			}
-			// Hand control back to the kernel one final time.
-			p.eng.yield <- struct{}{}
-		}()
-		if k := <-p.resume; k == wakeKilled {
-			panic(stoppedError{p.name})
-		}
-		p.blocked = false
-		fn(p)
-	}()
-	e.schedule(e.now+d, p.daemon, func() {
-		if p.done {
-			return
-		}
-		p.blocked = true // parked on initial resume
-		p.resumeWith(wakeFired)
-	})
+	e.schedule(e.now+d, daemon, &p.start, wakeFired, nil)
 	return p
 }
 
-// resumeWith transfers control to the process and blocks until it either
-// yields (parks on a new waiter) or finishes. Must run in kernel context.
-func (p *Proc) resumeWith(k wakeKind) {
-	if !p.blocked {
-		panic("sim: resuming a process that is not blocked")
+// run executes the process body on the calling goroutine and settles its
+// end. It returns with the goroutine holding control.
+func (p *Proc) run() {
+	e := p.eng
+	returned := false
+	defer func() {
+		if e.inCallback {
+			// An At callback panicked while this goroutine ran the event
+			// loop: the panic is not the process's, so let it crash the
+			// program unchanged.
+			return
+		}
+		r := recover()
+		p.finish()
+		switch r.(type) {
+		case nil:
+			if !returned {
+				// runtime.Goexit (a test's FailNow): this goroutine
+				// ends, so pass control on without it.
+				e.handoff(e.pick(e.caller))
+			}
+		case stoppedError, *Interrupted:
+			// Killed by Close, or an unhandled interrupt: the process
+			// ends cleanly, like a signal-killed task; defers have run.
+		default:
+			// A real panic in simulation code: surface it with the
+			// process identity attached. This crashes the program,
+			// which is the desired behaviour for a kernel-level bug.
+			panic(fmt.Sprintf("sim: process %q panicked at %s: %v", p.name, e.now, r))
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	returned = true
+}
+
+// finish marks p done and unlinks it from the live list.
+func (p *Proc) finish() {
+	e := p.eng
+	p.done = true
+	p.w = nil
+	if !p.daemon {
+		e.liveNormal--
 	}
-	p.blocked = false
-	p.eng.curDaemon = p.daemon // schedules from process context inherit
-	p.resume <- k
-	<-p.eng.yield
+	if p.prev == nil {
+		e.head = p.next
+	} else {
+		p.prev.next = p.next
+	}
+	if p.next == nil {
+		e.tail = p.prev
+	} else {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
+	e.live--
 }
 
 // parkOn blocks the calling process on waiter w until something wakes it,
@@ -217,10 +249,15 @@ func (p *Proc) parkOn(w *waiter) wakeKind {
 		w.woken = true // nobody should wake this waiter later
 		panic(&Interrupted{Reason: reason})
 	}
+	e := p.eng
+	if e.inCallback {
+		panic("sim: blocking call from an event callback")
+	}
 	p.cur = w
-	p.blocked = true
-	p.eng.yield <- struct{}{}
-	k := <-p.resume
+	// Blocking in a defer while Close kills the process hands control
+	// back to Close, which kills it again.
+	e.dispatch(p.w)
+	k := e.wokenKind
 	p.cur = nil
 	switch k {
 	case wakeKilled:
@@ -240,14 +277,19 @@ type waiter struct {
 	intReason any
 }
 
-// wake resumes the waiting process if this waiter has not been woken yet.
-// Must run in kernel context (scheduled through the event queue).
+// wake marks the waiting process to run next if this waiter has not been
+// woken yet. Must run in kernel context (an event of the queue), as the
+// last action of the event; one event wakes at most one process.
 func (w *waiter) wake(k wakeKind) {
 	if w.woken || w.p.done {
 		return
 	}
 	w.woken = true
-	w.p.resumeWith(k)
+	e := w.p.eng
+	if e.woken != nil {
+		panic("sim: one event woke two processes")
+	}
+	e.woken, e.wokenKind = w.p, k
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
@@ -258,7 +300,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	w := &waiter{p: p}
-	p.eng.schedule(p.eng.now+d, p.daemon, func() { w.wake(wakeFired) })
+	p.eng.schedule(p.eng.now+d, p.daemon, w, wakeFired, nil)
 	p.parkOn(w)
 }
 
@@ -287,6 +329,6 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) bool {
 	}
 	w := &waiter{p: p}
 	ev.waiters = append(ev.waiters, w)
-	p.eng.schedule(p.eng.now+d, p.daemon, func() { w.wake(wakeTimeout) })
+	p.eng.schedule(p.eng.now+d, p.daemon, w, wakeTimeout, nil)
 	return p.parkOn(w) == wakeFired
 }

@@ -206,9 +206,9 @@
 // registry over HTTP for the lifetime of the process: GET /metrics
 // returns Prometheus text exposition format (0.0.4), GET /debug/pilot
 // the same registry as JSON. The option ensures a recorder exists,
-// bridges it into a fresh registry, and panics if the address cannot
-// be listened on; Session.Metrics and Session.MetricsServer expose
-// the pieces, and ServeMetrics serves any registry standalone. The
+// bridges it into a fresh registry, and records a listen failure on
+// the session for Session.Err; Session.Metrics and Session.MetricsServer
+// expose the pieces, and ServeMetrics serves any registry standalone. The
 // cmd/repro harness wires the same plumbing with -metrics addr
 // (add -linger to keep the endpoint up after the experiments finish),
 // and its "scale" subcommand sweeps a backfill workload across

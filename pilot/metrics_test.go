@@ -3,6 +3,7 @@ package pilot_test
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -116,5 +117,32 @@ func TestWithMetricsAddrEndToEnd(t *testing.T) {
 		if !names[want] {
 			t.Errorf("/debug/pilot missing instrument %s", want)
 		}
+	}
+}
+
+// TestWithMetricsAddrListenFailureIsAnError: an address already in use
+// must not panic. The session records the failure for Err, keeps the
+// recorder and registry, and attaches no server.
+func TestWithMetricsAddrListenFailureIsAnError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	s := pilot.NewSession(sim.NewEngine(), pilot.WithMetricsAddr(ln.Addr().String()))
+	if s.Err() == nil {
+		t.Fatal("listening on an occupied port: Err() = nil, want the listen error")
+	}
+	if !strings.Contains(s.Err().Error(), "WithMetricsAddr") {
+		t.Fatalf("Err() = %q, want it to name the option", s.Err())
+	}
+	if s.MetricsServer() != nil {
+		t.Fatal("a server is attached although the listen failed")
+	}
+	if s.Recorder() == nil || s.Metrics() == nil {
+		t.Fatal("listen failure dropped the recorder or the registry")
+	}
+	if pilot.NewSession(sim.NewEngine()).Err() != nil {
+		t.Fatal("a session built without failures reports an error")
 	}
 }

@@ -1,6 +1,8 @@
 package pilot
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -48,9 +50,10 @@ func WithRecorder(r *Recorder) Option {
 // ":9090" or "127.0.0.1:0" (port 0 picks a free port; read it back
 // with Session.MetricsServer().Addr()).
 //
-// Listening failures panic: options cannot return errors, and a
-// requested-but-dead telemetry endpoint should not fail silently. Use
-// ServeMetrics directly for an error-returning path.
+// Options cannot return errors, so a listen failure is recorded on the
+// session instead: Session.Err returns it, the registry is still
+// attached and fed, and Session.MetricsServer is nil. Check Err after
+// NewSession, or use ServeMetrics directly for an error-returning path.
 func WithMetricsAddr(addr string) Option {
 	return func(c *sessionConfig) { c.metricsAddr = addr }
 }
@@ -75,7 +78,7 @@ func NewSession(eng *sim.Engine, opts ...Option) *Session {
 		cfg.recorder.OnRecord(obs.NewBridge(reg).Apply)
 		srv, err := obs.ServeMetrics(cfg.metricsAddr, reg)
 		if err != nil {
-			panic("pilot: WithMetricsAddr: " + err.Error())
+			s.SetErr(fmt.Errorf("pilot: WithMetricsAddr: %w", err))
 		}
 		s.AttachMetrics(reg, srv)
 	}
