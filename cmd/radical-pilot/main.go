@@ -95,6 +95,7 @@ func main() {
 	}
 	if *verbose {
 		env.Eng.SetTrace(os.Stderr)
+		env.Session.AttachRecorder(unitLines(env.Eng))
 	}
 	failed := false
 	env.Eng.Spawn("driver", func(p *sim.Proc) {
@@ -171,4 +172,22 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// unitLines returns a recorder that prints every unit state transition
+// to stderr in the engine trace's line format, so -v shows the unit
+// timeline next to the engine's own lines.
+func unitLines(eng *sim.Engine) *pilot.Recorder {
+	rec := pilot.NewRecorder(eng)
+	rec.OnRecord(func(ev pilot.TraceEvent) {
+		if ev.Kind != pilot.EventUnitState {
+			return
+		}
+		msg := ev.State
+		if ev.State == pilot.UnitFailed.String() {
+			msg += ": " + ev.Detail
+		}
+		fmt.Fprintf(os.Stderr, "[%12s] unit %s -> %s\n", ev.At, ev.Unit, msg)
+	})
+	return rec
 }

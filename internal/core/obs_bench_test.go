@@ -12,8 +12,10 @@ import (
 )
 
 // benchBindLoop drives one full pilot workload — submit, bind loop,
-// execute, drain — per iteration, optionally under a flight recorder.
+// execute, drain — per iteration, optionally under a flight recorder,
+// reporting allocations so the recorder's share of them shows.
 func benchBindLoop(b *testing.B, record bool) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		m := cluster.New(eng, testSpec(2))

@@ -115,9 +115,6 @@ func (u *Unit) advance(st UnitState) {
 	}
 	u.state = st
 	u.Timestamps[st] = u.session.eng.Now()
-	if eng := u.session.eng; eng.Tracing() {
-		eng.Tracef("unit %s -> %s", u.ID, st)
-	}
 	u.recordState(st, "")
 	u.watch.Entered(st)
 }
@@ -150,9 +147,6 @@ func (u *Unit) fail(err error) {
 	u.Err = err
 	u.state = UnitFailed
 	u.Timestamps[UnitFailed] = u.session.eng.Now()
-	if eng := u.session.eng; eng.Tracing() {
-		eng.Tracef("unit %s -> FAILED: %v", u.ID, err)
-	}
 	u.recordState(UnitFailed, err.Error())
 	u.watch.Entered(UnitFailed)
 }
@@ -164,9 +158,6 @@ func (u *Unit) cancel() {
 	}
 	u.state = UnitCanceled
 	u.Timestamps[UnitCanceled] = u.session.eng.Now()
-	if eng := u.session.eng; eng.Tracing() {
-		eng.Tracef("unit %s -> CANCELED", u.ID)
-	}
 	u.recordState(UnitCanceled, "")
 	u.watch.Entered(UnitCanceled)
 }

@@ -4,11 +4,19 @@
 // pilot and Data-Unit state transitions, scheduler bind decisions,
 // autoscaler verdicts, UnitGraph hold/release edges, result-cache
 // traffic, replica placement and store failures — each carrying entity
-// IDs so causality is reconstructable from the stream alone. On top of
-// the stream sit a Chrome trace-event exporter (WriteChromeTrace,
-// viewable in Perfetto), a gauge Series sampled from the ClusterView on
-// scheduling events (exportable as JSONL), and the recorder invariants
-// VerifyBinds checks.
+// IDs so causality is reconstructable from the stream alone. The
+// engine's free-form Tracef lines land in the stream too (KindTrace),
+// but only for engine-level activity: batch queue, YARN, pilot and
+// data tier. A unit transition is recorded once, as KindUnitState.
+// On top of the stream sit a Chrome trace-event exporter
+// (WriteChromeTrace, viewable in Perfetto), a gauge Series sampled from
+// the ClusterView on scheduling events (exportable as JSONL), and the
+// recorder invariants VerifyBinds checks.
+//
+// Events and samples are stored in append-only blocks (blockLog) that
+// are never copied as the recording grows; Events and Samples return
+// one exact-size copy each. The Chrome exporter streams through a
+// buffered writer instead of building the trace in memory.
 //
 // Recording is strictly opt-in: without a Recorder attached to the
 // session (pilot.WithRecorder), the instrumented code paths pay a nil
@@ -65,7 +73,9 @@ const (
 	// Unit-Manager; Critical carries its critical-path length.
 	KindGraphAdmit Kind = "graph-admit"
 	// KindTrace is a free-form sim.Engine.Tracef line routed through
-	// the recorder; Detail holds the formatted message.
+	// the recorder; Detail holds the formatted message. Only engine
+	// lines (batch queue, YARN, pilot, data tier) arrive this way:
+	// unit transitions are KindUnitState events alone.
 	KindTrace Kind = "trace"
 )
 
@@ -123,11 +133,12 @@ type Event struct {
 // Recorder captures events and gauge samples at virtual time. Create
 // one with NewRecorder and attach it to a session with
 // pilot.WithRecorder (or Session.AttachRecorder before building
-// managers). A Recorder is not safe for concurrent use — like
-// everything else on a sim.Engine, the kernel serializes access.
+// managers). Events are kept in a block log: recording never copies
+// what is already recorded. A Recorder is not safe for concurrent use —
+// like everything else on a sim.Engine, the kernel serializes access.
 type Recorder struct {
 	eng    *sim.Engine
-	events []Event
+	events blockLog[Event]
 	counts map[Kind]int
 	series Series
 	hooks  []func(Event)
@@ -149,9 +160,9 @@ func NewRecorder(eng *sim.Engine) *Recorder {
 // virtual time, appends it, and hands the stamped event to every
 // OnRecord hook.
 func (r *Recorder) Record(ev Event) {
-	ev.Seq = len(r.events)
+	ev.Seq = r.events.n
 	ev.At = r.eng.Now()
-	r.events = append(r.events, ev)
+	r.events.add(ev)
 	r.counts[ev.Kind]++
 	for _, fn := range r.hooks {
 		fn(ev)
@@ -167,14 +178,12 @@ func (r *Recorder) OnRecord(fn func(Event)) {
 	r.hooks = append(r.hooks, fn)
 }
 
-// Events returns the recorded events in record order. The slice is a
-// copy; mutating it does not disturb the recorder.
-func (r *Recorder) Events() []Event {
-	return append([]Event(nil), r.events...)
-}
+// Events returns the recorded events in record order, as one
+// exact-size copy; mutating it does not disturb the recorder.
+func (r *Recorder) Events() []Event { return r.events.all() }
 
 // Len reports the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
+func (r *Recorder) Len() int { return r.events.n }
 
 // Count reports how many events of kind were recorded.
 func (r *Recorder) Count(kind Kind) int { return r.counts[kind] }

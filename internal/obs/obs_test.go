@@ -83,6 +83,8 @@ func TestVerifyBinds(t *testing.T) {
 		{"requeued waiter missing bind", []Event{
 			cache("u2", "coalesce"), cache("u2", "requeue"), done("u2")}, false},
 		{"unfinished unit ignored", []Event{bind("u1"), bind("u1")}, true},
+		{"two offenders", []Event{
+			done("u9"), bind("u2"), bind("u2"), done("u2"), bind("u5"), done("u5")}, false},
 	}
 	for _, tc := range cases {
 		err := VerifyBinds(tc.events)
@@ -91,6 +93,26 @@ func TestVerifyBinds(t *testing.T) {
 		}
 		if !tc.wantOK && err == nil {
 			t.Errorf("%s: invariant violation not caught", tc.name)
+		}
+	}
+}
+
+// TestVerifyBindsNamesFirstOffender: with two units breaking the
+// invariant, the error names the lexically first, whatever the record
+// order and map order.
+func TestVerifyBindsNamesFirstOffender(t *testing.T) {
+	events := []Event{
+		{Kind: KindUnitState, Unit: "u9", State: "DONE"},
+		{Kind: KindBind, Unit: "u5"},
+		{Kind: KindUnitState, Unit: "u5", State: "DONE"},
+		{Kind: KindBind, Unit: "u2"},
+		{Kind: KindBind, Unit: "u2"},
+		{Kind: KindUnitState, Unit: "u2", State: "DONE"},
+	}
+	for i := 0; i < 20; i++ {
+		err := VerifyBinds(events)
+		if err == nil || !strings.Contains(err.Error(), "unit u2: 2 bind events, want 1") {
+			t.Fatalf("VerifyBinds = %v, want the error to name u2", err)
 		}
 	}
 }

@@ -41,40 +41,36 @@ type GaugeSample struct {
 	StoreFree map[string]int64 `json:"store_free,omitempty"`
 }
 
-// Series is an append-only sequence of gauge samples in time order.
+// Series is an append-only sequence of gauge samples in time order,
+// kept in a block log like the recorder's events.
 type Series struct {
-	samples []GaugeSample
+	samples blockLog[GaugeSample]
 }
 
 // Add appends a sample.
-func (s *Series) Add(g GaugeSample) { s.samples = append(s.samples, g) }
+func (s *Series) Add(g GaugeSample) { s.samples.add(g) }
 
 // Len reports the number of samples.
-func (s *Series) Len() int { return len(s.samples) }
+func (s *Series) Len() int { return s.samples.n }
 
-// Samples returns the samples in record order, as a copy.
-func (s *Series) Samples() []GaugeSample {
-	return append([]GaugeSample(nil), s.samples...)
-}
+// Samples returns the samples in record order, as one exact-size copy.
+func (s *Series) Samples() []GaugeSample { return s.samples.all() }
 
 // Last returns the most recent sample (zero when empty).
-func (s *Series) Last() GaugeSample {
-	if len(s.samples) == 0 {
-		return GaugeSample{}
-	}
-	return s.samples[len(s.samples)-1]
-}
+func (s *Series) Last() GaugeSample { return s.samples.last() }
 
 // WriteJSONL renders the series as one JSON object per line, each
 // carrying the cell label (omitted when empty) and the sample time as
 // seconds in "t" — the shape plotting scripts consume directly.
 func (s *Series) WriteJSONL(w io.Writer, cell string) error {
 	enc := json.NewEncoder(w)
-	for _, g := range s.samples {
-		g.Cell = cell
-		g.T = g.At.Seconds()
-		if err := enc.Encode(g); err != nil {
-			return fmt.Errorf("obs: series encode: %w", err)
+	for _, b := range s.samples.blocks {
+		for _, g := range b {
+			g.Cell = cell
+			g.T = g.At.Seconds()
+			if err := enc.Encode(g); err != nil {
+				return fmt.Errorf("obs: series encode: %w", err)
+			}
 		}
 	}
 	return nil

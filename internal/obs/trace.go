@@ -1,11 +1,15 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"time"
+	"unicode/utf8"
 )
 
 // Cell is one experiment cell's event stream, rendered as its own
@@ -16,39 +20,16 @@ type Cell struct {
 	Events []Event
 }
 
-// traceEvent is one Chrome trace-event JSON object (the subset the
-// exporter emits: "X" complete spans, "i" instants, "M" metadata).
-// Timestamps and durations are microseconds, per the format.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// traceFile is the JSON Object Format envelope.
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
 // DoneUnits counts the distinct Compute-Units whose event stream
 // reports a DONE state — exactly the spans WriteChromeTrace emits.
 func DoneUnits(events []Event) int {
-	n := 0
-	seen := make(map[string]bool)
+	done := make(map[string]struct{})
 	for _, ev := range events {
-		if ev.Kind == KindUnitState && ev.State == "DONE" && !seen[ev.Unit] {
-			seen[ev.Unit] = true
-			n++
+		if ev.Kind == KindUnitState && ev.State == "DONE" {
+			done[ev.Unit] = struct{}{}
 		}
 	}
-	return n
+	return len(done)
 }
 
 // WriteChromeTrace renders one event stream as a Chrome trace-event
@@ -67,62 +48,98 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 // WriteChromeTraceCells is WriteChromeTrace over several cells in one
 // file; each cell's tracks get their own pid range and are labeled
 // "<cell>/<pilot>" through process_name metadata.
+//
+// The file is streamed: each trace event is appended straight to a
+// buffered writer, byte for byte as encoding/json would encode it
+// (compact, keys in declaration order, args keys sorted, HTML-safe
+// strings), without building the events or their args maps first.
 func WriteChromeTraceCells(w io.Writer, cells []Cell) error {
-	var out []traceEvent
+	cw := chromeWriter{w: bufio.NewWriter(w)}
+	cw.w.WriteString(`{"traceEvents":[`)
 	nextPid := 1
 	for _, c := range cells {
-		out = append(out, cellTraceEvents(c, &nextPid)...)
+		cw.cell(c, &nextPid)
 	}
-	if out == nil {
-		out = []traceEvent{} // an empty trace still parses
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(traceFile{TraceEvents: out, DisplayTimeUnit: "ms"}); err != nil {
+	cw.w.WriteString(`],"displayTimeUnit":"ms"}` + "\n")
+	// The bufio.Writer keeps the first write error; Flush returns it.
+	if err := cw.w.Flush(); err != nil {
 		return fmt.Errorf("obs: chrome trace encode: %w", err)
 	}
 	return nil
 }
 
-// unitTimeline accumulates one unit's state entries while scanning a
-// cell's events.
+// unitTimeline is what one unit contributes to the trace: its first
+// AGENT_EXECUTING and DONE times, and the last name and pilot its
+// state events carried.
 type unitTimeline struct {
-	id     string
-	name   string
-	pilot  string
-	cached bool
-	states map[string]time.Duration
+	id, name, pilot string
+	cached          bool
+	ran, finished   bool
+	start, done     time.Duration
 }
 
-// span is one laid-out unit execution.
+// span is one laid-out unit execution: an index into the cell's
+// timelines.
 type span struct {
-	unit       *unitTimeline
+	unit       int
 	start, end time.Duration
 }
 
 // micros converts virtual time to trace microseconds.
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// cellTraceEvents renders one cell: spans per DONE unit grouped by
-// pilot, instants for decisions, metadata naming each group.
-func cellTraceEvents(c Cell, nextPid *int) []traceEvent {
-	units := make(map[string]*unitTimeline)
-	var order []*unitTimeline
-	lookup := func(id string) *unitTimeline {
-		u, ok := units[id]
-		if !ok {
-			u = &unitTimeline{id: id, states: make(map[string]time.Duration)}
-			units[id] = u
-			order = append(order, u)
-		}
-		return u
+// isInstant reports whether ev renders as an instant on its group's
+// track 0.
+func isInstant(ev *Event) bool {
+	switch ev.Kind {
+	case KindBind, KindAutoscale, KindStoreFail, KindCache:
+		return true
 	}
-	var instants []Event
-	for _, ev := range c.Events {
+	return false
+}
+
+// instantTrack names the group an instant lands on; groups that only
+// ever see instants (a failed store's label) still render.
+func instantTrack(ev *Event) string {
+	if ev.Pilot != "" {
+		return ev.Pilot
+	}
+	return "events"
+}
+
+// chromeWriter streams trace events; b is the scratch buffer each one
+// is assembled in before it goes to w.
+type chromeWriter struct {
+	w *bufio.Writer
+	b []byte
+	n int // trace events written so far
+}
+
+// cell renders one cell: spans per DONE unit grouped by pilot, then
+// instants for decisions, with metadata naming each group ahead of its
+// spans.
+func (cw *chromeWriter) cell(c Cell, nextPid *int) {
+	units := make(map[string]int)
+	var tl []unitTimeline
+	lookup := func(id string) *unitTimeline {
+		i, ok := units[id]
+		if !ok {
+			i = len(tl)
+			units[id] = i
+			tl = append(tl, unitTimeline{id: id})
+		}
+		return &tl[i]
+	}
+	for i := range c.Events {
+		ev := &c.Events[i]
 		switch ev.Kind {
 		case KindUnitState:
 			u := lookup(ev.Unit)
-			if _, dup := u.states[ev.State]; !dup {
-				u.states[ev.State] = ev.At
+			switch {
+			case ev.State == "AGENT_EXECUTING" && !u.ran:
+				u.ran, u.start = true, ev.At
+			case ev.State == "DONE" && !u.finished:
+				u.finished, u.done = true, ev.At
 			}
 			if ev.Pilot != "" {
 				u.pilot = ev.Pilot
@@ -134,71 +151,61 @@ func cellTraceEvents(c Cell, nextPid *int) []traceEvent {
 			if ev.Op == "hit" || ev.Op == "coalesce" {
 				lookup(ev.Unit).cached = true
 			}
-			instants = append(instants, ev)
-		case KindBind, KindAutoscale, KindStoreFail:
-			instants = append(instants, ev)
 		}
 	}
 
 	// One span per DONE unit: executing→DONE, or zero-length at DONE
-	// for units that never executed (cache completions).
-	byTrack := make(map[string][]span)
-	var trackOrder []string
-	track := func(name string) []span {
-		if _, ok := byTrack[name]; !ok {
-			byTrack[name] = nil
-			trackOrder = append(trackOrder, name)
-		}
-		return byTrack[name]
-	}
-	for _, u := range order {
-		done, ok := u.states["DONE"]
+	// for units that never executed (cache completions). Groups are
+	// numbered in order of first appearance: span groups in unit
+	// order, then groups only instants reach.
+	pids := make(map[string]int)
+	var tracks []string
+	var byTrack [][]span
+	track := func(name string) int {
+		pid, ok := pids[name]
 		if !ok {
+			pid = *nextPid + len(tracks)
+			pids[name] = pid
+			tracks = append(tracks, name)
+			byTrack = append(byTrack, nil)
+		}
+		return pid - *nextPid
+	}
+	for i := range tl {
+		u := &tl[i]
+		if !u.finished {
 			continue
 		}
-		start, ran := u.states["AGENT_EXECUTING"]
-		if !ran {
-			start = done
+		start := u.done
+		if u.ran {
+			start = u.start
 		}
 		tr := u.pilot
 		if tr == "" {
 			tr = "unbound"
 		}
-		byTrack[tr] = append(track(tr), span{unit: u, start: start, end: done})
+		k := track(tr)
+		byTrack[k] = append(byTrack[k], span{unit: i, start: start, end: u.done})
 	}
-
-	// Instants land on track 0 of the group they concern; groups that
-	// only ever see instants (a failed store's label) still render.
-	instantTrack := func(ev Event) string {
-		if ev.Pilot != "" {
-			return ev.Pilot
+	for i := range c.Events {
+		if ev := &c.Events[i]; isInstant(ev) {
+			track(instantTrack(ev))
 		}
-		return "events"
-	}
-	for _, ev := range instants {
-		track(instantTrack(ev))
 	}
 
-	var out []traceEvent
-	pids := make(map[string]int)
-	for _, tr := range trackOrder {
-		pid := *nextPid
-		*nextPid++
-		pids[tr] = pid
+	for k, tr := range tracks {
+		pid := *nextPid + k
 		label := tr
 		if c.Label != "" {
 			label = c.Label + "/" + tr
 		}
-		out = append(out, traceEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": label},
-		})
-		spans := byTrack[tr]
-		sort.SliceStable(spans, func(i, j int) bool {
+		cw.meta(pid, label)
+		spans := byTrack[k]
+		sort.Slice(spans, func(i, j int) bool {
 			if spans[i].start != spans[j].start {
 				return spans[i].start < spans[j].start
 			}
-			return spans[i].unit.id < spans[j].unit.id
+			return tl[spans[i].unit].id < tl[spans[j].unit].id
 		})
 		// Greedy lane assignment: each span takes the first lane free
 		// at its start, so concurrent units stack on separate tids.
@@ -216,45 +223,150 @@ func cellTraceEvents(c Cell, nextPid *int) []traceEvent {
 				laneEnd = append(laneEnd, 0)
 			}
 			laneEnd[lane] = s.end
-			name := s.unit.name
-			if name == "" {
-				name = s.unit.id
-			}
-			dur := micros(s.end - s.start)
-			args := map[string]any{"unit": s.unit.id}
-			if s.unit.cached {
-				args["cached"] = true
-			}
-			out = append(out, traceEvent{
-				Name: name, Cat: "unit", Ph: "X",
-				Ts: micros(s.start), Dur: &dur,
-				Pid: pids[tr], Tid: lane + 1, Args: args,
-			})
+			cw.span(&tl[s.unit], s, pid, lane+1)
 		}
 	}
-	for _, ev := range instants {
-		name := string(ev.Kind)
-		if ev.Op != "" {
-			name += ":" + ev.Op
+	for i := range c.Events {
+		if ev := &c.Events[i]; isInstant(ev) {
+			cw.instant(ev, pids[instantTrack(ev)])
 		}
-		args := map[string]any{}
-		if ev.Unit != "" {
-			args["unit"] = ev.Unit
-		}
-		if ev.Policy != "" {
-			args["policy"] = ev.Policy
-		}
-		if ev.Applied != 0 {
-			args["applied"] = ev.Applied
-		}
-		if ev.Detail != "" {
-			args["detail"] = ev.Detail
-		}
-		out = append(out, traceEvent{
-			Name: name, Cat: string(ev.Kind), Ph: "i", S: "p",
-			Ts: micros(ev.At), Pid: pids[instantTrack(ev)], Tid: 0,
-			Args: args,
-		})
 	}
-	return out
+	*nextPid += len(tracks)
+}
+
+// begin starts a trace event with the fields every kind carries ahead
+// of the optional ones: name, cat (omitted when empty), ph and ts.
+func (cw *chromeWriter) begin(name, cat, ph string, ts float64) []byte {
+	b := cw.b[:0]
+	if cw.n > 0 {
+		b = append(b, ',')
+	}
+	cw.n++
+	b = append(b, `{"name":`...)
+	b = appendString(b, name)
+	if cat != "" {
+		b = append(b, `,"cat":`...)
+		b = appendString(b, cat)
+	}
+	b = append(b, `,"ph":`...)
+	b = appendString(b, ph)
+	b = append(b, `,"ts":`...)
+	return appendFloat(b, ts)
+}
+
+// ids appends the pid and tid fields.
+func ids(b []byte, pid, tid int) []byte {
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// end closes the trace event and hands it to the buffered writer.
+func (cw *chromeWriter) end(b []byte) {
+	b = append(b, '}')
+	cw.w.Write(b)
+	cw.b = b
+}
+
+// meta writes the process_name metadata record labeling group pid.
+func (cw *chromeWriter) meta(pid int, label string) {
+	b := cw.begin("process_name", "", "M", 0)
+	b = ids(b, pid, 0)
+	b = append(b, `,"args":{"name":`...)
+	b = appendString(b, label)
+	cw.end(append(b, '}'))
+}
+
+// span writes one unit's complete ("X") span on lane tid of group pid.
+func (cw *chromeWriter) span(u *unitTimeline, s span, pid, tid int) {
+	name := u.name
+	if name == "" {
+		name = u.id
+	}
+	b := cw.begin(name, "unit", "X", micros(s.start))
+	b = append(b, `,"dur":`...)
+	b = appendFloat(b, micros(s.end-s.start))
+	b = ids(b, pid, tid)
+	b = append(b, `,"args":{`...)
+	if u.cached {
+		b = append(b, `"cached":true,`...)
+	}
+	b = append(b, `"unit":`...)
+	b = appendString(b, u.id)
+	cw.end(append(b, '}'))
+}
+
+// instant writes ev as an instant ("i") on track 0 of group pid. Its
+// args appear in sorted key order, as encoding/json writes a map, and
+// the object is omitted when ev carries none of them.
+func (cw *chromeWriter) instant(ev *Event, pid int) {
+	name := string(ev.Kind)
+	if ev.Op != "" {
+		name += ":" + ev.Op
+	}
+	b := cw.begin(name, string(ev.Kind), "i", micros(ev.At))
+	b = ids(b, pid, 0)
+	b = append(b, `,"s":"p"`...)
+	next := `,"args":{"`
+	if ev.Applied != 0 {
+		b = append(append(b, next...), `applied":`...)
+		b = strconv.AppendInt(b, int64(ev.Applied), 10)
+		next = `,"`
+	}
+	if ev.Detail != "" {
+		b = append(append(b, next...), `detail":`...)
+		b = appendString(b, ev.Detail)
+		next = `,"`
+	}
+	if ev.Policy != "" {
+		b = append(append(b, next...), `policy":`...)
+		b = appendString(b, ev.Policy)
+		next = `,"`
+	}
+	if ev.Unit != "" {
+		b = append(append(b, next...), `unit":`...)
+		b = appendString(b, ev.Unit)
+		next = `,"`
+	}
+	if next == `,"` {
+		b = append(b, '}')
+	}
+	cw.end(b)
+}
+
+// appendString appends s as encoding/json encodes a string. Printable
+// ASCII other than the characters it escapes — every ID, state and
+// policy name the stack records — is copied as is; any other string
+// goes through json.Marshal.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendFloat appends f as encoding/json encodes a float64: the
+// shortest representation, in exponent form below 1e-6 and from 1e21
+// up, with a one-digit negative exponent not zero-padded.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 becomes e-9, as encoding/json writes it.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }

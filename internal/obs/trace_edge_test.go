@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -167,5 +168,32 @@ func TestWriteChromeTraceCellsEmptyCell(t *testing.T) {
 	}
 	if spans != 1 {
 		t.Fatalf("spans = %d; want 1", spans)
+	}
+}
+
+// TestAppendScalarsMatchJSON: the exporter's float and string encoders
+// write what json.Marshal writes, across the exponent-form thresholds
+// (below 1e-6, from 1e21 up) that virtual-time microseconds never
+// reach, and across every escaping rule.
+func TestAppendScalarsMatchJSON(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.001, 0.5, 1e-6, 9.99e-7, 1e-7, -1e-7, 1.5e-9, 5e-324,
+		123456.789, 1e20, 999999999999999999999, 1e21, -1e21, 1.5e22, 1e100, math.MaxFloat64,
+		float64(math.MaxInt64) / 1e3}
+	for _, f := range floats {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, f); string(got) != string(want) {
+			t.Errorf("appendFloat(%v) = %s, want %s", f, got, want)
+		}
+	}
+	strs := []string{"", "plain-id.0001", `"q"`, `back\slash`, "<>&", "<", ">", "&", "\b\f\n\r\t", "\x00\x1f\x7f",
+		"é", "✓", "\xff", "a\xc3", "  ", "emoji 🚀"}
+	for _, s := range strs {
+		want, _ := json.Marshal(s)
+		if got := appendString(nil, s); string(got) != string(want) {
+			t.Errorf("appendString(%q) = %s, want %s", s, got, want)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // VerifyBinds checks the recorder invariants the scheduler must hold
 // on a failure-free run, from the event stream alone: every unit that
@@ -12,56 +9,57 @@ import (
 // succeeded) was never bound at all. A coalesced waiter whose leader
 // aborted is requeued (Op "requeue") and must then bind like any other
 // unit. Returns nil when the invariants hold, else an error naming the
-// first offending unit.
+// lexically first offending unit.
 func VerifyBinds(events []Event) error {
-	type tally struct {
-		binds    int
-		done     bool
-		cached   bool // completed by the cache: hit, or coalesce...
-		requeued bool // ...unless later requeued to run for itself
-	}
-	tallies := make(map[string]*tally)
-	var order []string
-	get := func(id string) *tally {
-		t, ok := tallies[id]
-		if !ok {
-			t = &tally{}
-			tallies[id] = t
-			order = append(order, id)
-		}
-		return t
-	}
-	for _, ev := range events {
-		switch ev.Kind {
-		case KindBind:
-			get(ev.Unit).binds++
-		case KindUnitState:
-			if ev.State == "DONE" {
-				get(ev.Unit).done = true
-			}
-		case KindCache:
-			switch ev.Op {
-			case "hit", "coalesce":
-				get(ev.Unit).cached = true
-			case "requeue":
-				get(ev.Unit).requeued = true
-			}
+	tallies := make(map[string]bindTally)
+	for i := range events {
+		ev := &events[i]
+		switch {
+		case ev.Kind == KindBind:
+			t := tallies[ev.Unit]
+			t.binds++
+			tallies[ev.Unit] = t
+		case ev.Kind == KindUnitState && ev.State == "DONE":
+			t := tallies[ev.Unit]
+			t.done = true
+			tallies[ev.Unit] = t
+		case ev.Kind == KindCache && (ev.Op == "hit" || ev.Op == "coalesce"):
+			t := tallies[ev.Unit]
+			t.cached = true
+			tallies[ev.Unit] = t
+		case ev.Kind == KindCache && ev.Op == "requeue":
+			t := tallies[ev.Unit]
+			t.requeued = true
+			tallies[ev.Unit] = t
 		}
 	}
-	sort.Strings(order)
-	for _, id := range order {
-		t := tallies[id]
-		if !t.done {
-			continue
-		}
-		want := 1
-		if t.cached && !t.requeued {
-			want = 0
-		}
-		if t.binds != want {
-			return fmt.Errorf("obs: unit %s: %d bind events, want %d (cached=%v requeued=%v)",
-				id, t.binds, want, t.cached, t.requeued)
+	bad, found := "", false
+	for id, t := range tallies {
+		if t.done && t.binds != t.want() && (!found || id < bad) {
+			bad, found = id, true
 		}
 	}
-	return nil
+	if !found {
+		return nil
+	}
+	t := tallies[bad]
+	return fmt.Errorf("obs: unit %s: %d bind events, want %d (cached=%v requeued=%v)",
+		bad, t.binds, t.want(), t.cached, t.requeued)
+}
+
+// bindTally is what VerifyBinds knows of one unit.
+type bindTally struct {
+	binds    int
+	done     bool
+	cached   bool // completed by the cache: hit, or coalesce...
+	requeued bool // ...unless later requeued to run for itself
+}
+
+// want is how many bind events the unit must have once DONE: none when
+// the cache completed it, else one.
+func (t bindTally) want() int {
+	if t.cached && !t.requeued {
+		return 0
+	}
+	return 1
 }

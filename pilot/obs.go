@@ -40,7 +40,9 @@ const (
 	EventReplica    = obs.KindReplica
 	EventStoreFail  = obs.KindStoreFail
 	EventGraphAdmit = obs.KindGraphAdmit
-	EventTrace      = obs.KindTrace
+	// EventTrace is an engine Tracef line (batch queue, YARN, pilot,
+	// data tier); unit transitions are EventUnitState only.
+	EventTrace = obs.KindTrace
 )
 
 // NewRecorder creates a flight recorder stamping events with eng's
