@@ -23,9 +23,10 @@ type agent struct {
 	bc      *BackendContext
 	sched   AgentScheduler
 
-	// unitProcs tracks per-unit executor processes for teardown.
-	unitProcs map[*Unit]*sim.Proc
-	draining  bool
+	// execs holds the running unit executors in spawn order, so
+	// teardown cancels units in a deterministic order.
+	execs    sim.ProcSet
+	draining bool
 }
 
 // errAgentShutdown is the interrupt reason for unit executors during
@@ -35,10 +36,9 @@ var errAgentShutdown = errors.New("core: agent shutting down")
 // runAgent is the placeholder job's payload.
 func (pl *Pilot) runAgent(p *sim.Proc, alloc *hpc.Allocation) {
 	a := &agent{
-		pilot:     pl,
-		session:   pl.session,
-		backend:   pl.backend,
-		unitProcs: make(map[*Unit]*sim.Proc),
+		pilot:   pl,
+		session: pl.session,
+		backend: pl.backend,
 	}
 	a.bc = &BackendContext{
 		Pilot:   pl,
@@ -113,8 +113,7 @@ func (a *agent) mainLoop(p *sim.Proc) {
 			continue
 		}
 		u.advance(UnitSchedulingAgent)
-		proc := a.session.eng.Spawn("exec:"+u.ID, func(up *sim.Proc) {
-			defer delete(a.unitProcs, u)
+		a.execs.Add(a.session.eng.SpawnNamed((*execName)(u), func(up *sim.Proc) {
 			if intr := sim.OnInterrupt(func() { a.unitPipeline(up, u) }); intr != nil {
 				if errors.Is(reasonErr(intr.Reason), errAgentShutdown) {
 					u.cancel()
@@ -122,10 +121,15 @@ func (a *agent) mainLoop(p *sim.Proc) {
 					u.fail(reasonErr(intr.Reason))
 				}
 			}
-		})
-		a.unitProcs[u] = proc
+		}))
 	}
 }
+
+// execName names a unit's executor process ("exec:<unit ID>") only when
+// the name is read.
+type execName Unit
+
+func (n *execName) String() string { return "exec:" + n.ID }
 
 func reasonErr(reason any) error {
 	if err, ok := reason.(error); ok {
@@ -273,9 +277,7 @@ func stageDeclaredOutputs(p *sim.Proc, u *Unit) error {
 // associated data files").
 func (a *agent) teardown() {
 	a.draining = true
-	for _, proc := range a.unitProcs {
-		proc.Interrupt(errAgentShutdown)
-	}
+	a.execs.Interrupt(errAgentShutdown)
 	// Grown allocation chunks die with the pilot: parked chunk payloads
 	// return (the batch reclaims their nodes) and queued ones are
 	// cancelled.

@@ -2,39 +2,48 @@ package core
 
 // parkIndex is the Unit-Manager's waiting-unit index: every unit
 // awaiting (re)binding lives here, ordered by (Priority desc,
-// insertion seq asc) — the exact order the old pending slice produced
-// under its per-pass stable sort, now maintained structurally.
+// insertion seq asc), maintained structurally instead of by a per-pass
+// sort.
 //
 // Entries split into two tiers. The `must` heap holds units that must
 // be offered to the policy on the next pass regardless of cluster
 // state: fresh arrivals (first offer decides bind / park /
 // ErrUnschedulable) and units parked by policies the manager cannot
 // reason about. The `classes` heaps hold units parked by a
-// CapacityGated policy, keyed by core demand: a pass re-offers a class
-// only when some Active pilot could actually admit that demand, which
-// is what collapses the old offer amplification (every kick re-offered
-// the entire parked set) to roughly one offer per bind.
+// CapacityGated policy, one heap per core demand: popBest only looks
+// at classes the current free capacity admits, so a pass never touches
+// an entry it would not offer, and a skipped entry keeps its stamp (and
+// so its FIFO place among equal priorities).
 //
 // The aside list carries entries popped during the current pass that
-// must not be re-offered within it (units the policy re-parked, units
-// inserted mid-pass, capacity-skipped units that outranked an offer);
-// flushAside returns them to the heaps between passes. Aggregate
-// unit/core counts over heaps and aside feed the incremental
-// ClusterView.
+// must not be re-offered within it (units the policy re-parked and
+// entries stamped mid-pass); flushAside returns them to the heaps
+// between passes. Aggregate unit/core counts over heaps and aside feed
+// the incremental ClusterView.
 type parkIndex struct {
 	// nextSeq stamps insertion order; entries with seq below a pass's
 	// boundary belong to that pass's batch.
 	nextSeq uint64
 	must    parkHeap
-	classes map[int]*parkHeap
+	// classes holds one heap per core demand, in ascending demand order;
+	// a class stays (possibly empty) once created.
+	classes []parkClass
 	aside   []parkEntry
 
 	// units/cores aggregate the heap entries; asideUnits/asideCores the
 	// aside list. Stale entries (units that reached a final state while
-	// parked) stay counted until their pop drops them — exactly the
-	// visibility the old pending slice had.
+	// parked) stay counted until their pop drops them.
 	units, cores           int
 	asideUnits, asideCores int
+
+	// pops counts successful popBest calls: the index's work measure.
+	pops int64
+}
+
+// parkClass is the gated tier's heap for one core demand.
+type parkClass struct {
+	cores int
+	heap  parkHeap
 }
 
 // parkEntry is one parked unit. gated records which tier it belongs to.
@@ -66,60 +75,49 @@ func (x *parkIndex) insert(e parkEntry) {
 	if !e.gated {
 		x.must.push(e)
 	} else {
-		h := x.classes[e.cores]
-		if h == nil {
-			h = &parkHeap{}
-			if x.classes == nil {
-				x.classes = make(map[int]*parkHeap)
-			}
-			x.classes[e.cores] = h
-		}
-		h.push(e)
+		x.class(e.cores).push(e)
 	}
 	x.units++
 	x.cores += e.cores
 }
 
-// anyOfferable reports whether a pass could still offer something: a
-// must entry, or a gated class some pilot could admit. It is
-// deliberately conservative (entries inserted mid-pass count), so the
-// pass loop pops — and defers — at most a bounded overshoot.
-func (x *parkIndex) anyOfferable(admit func(cores int) bool) bool {
-	if len(x.must) > 0 {
-		return true
+// class returns the heap for a core demand, creating it in demand order.
+func (x *parkIndex) class(cores int) *parkHeap {
+	i := 0
+	for i < len(x.classes) && x.classes[i].cores < cores {
+		i++
 	}
-	for cores, h := range x.classes {
-		if len(*h) > 0 && admit(cores) {
-			return true
-		}
+	if i == len(x.classes) || x.classes[i].cores != cores {
+		x.classes = append(x.classes, parkClass{})
+		copy(x.classes[i+1:], x.classes[i:])
+		x.classes[i] = parkClass{cores: cores}
 	}
-	return false
+	return &x.classes[i].heap
 }
 
-// popBest removes and returns the globally best-ranked entry across
-// both tiers: highest priority first, insertion order among equals.
-// The choice is a unique total order (seqs never repeat), so map
-// iteration over the classes cannot perturb determinism.
-func (x *parkIndex) popBest() (parkEntry, bool) {
-	var bestHeap *parkHeap
+// popBest removes and returns the best-ranked entry among the must heap
+// and the gated classes admit accepts: highest priority first,
+// insertion order among equals. Entries of classes admit rejects stay
+// where they are. It reports false when nothing offerable is left.
+func (x *parkIndex) popBest(admit func(cores int) bool) (parkEntry, bool) {
+	var best *parkHeap
 	if len(x.must) > 0 {
-		bestHeap = &x.must
+		best = &x.must
 	}
-	for cores, h := range x.classes {
-		if len(*h) == 0 {
-			delete(x.classes, cores)
+	for i := range x.classes {
+		c := &x.classes[i]
+		if len(c.heap) == 0 || best != nil && !parkLess(&c.heap[0], &(*best)[0]) || !admit(c.cores) {
 			continue
 		}
-		if bestHeap == nil || parkLess((*h)[0], (*bestHeap)[0]) {
-			bestHeap = h
-		}
+		best = &c.heap
 	}
-	if bestHeap == nil {
+	if best == nil {
 		return parkEntry{}, false
 	}
-	e := bestHeap.pop()
+	e := best.pop()
 	x.units--
 	x.cores -= e.cores
+	x.pops++
 	return e, true
 }
 
@@ -147,8 +145,8 @@ func (x *parkIndex) forEachUnit(fn func(*Unit)) {
 	for _, e := range x.must {
 		fn(e.u)
 	}
-	for _, h := range x.classes {
-		for _, e := range *h {
+	for _, c := range x.classes {
+		for _, e := range c.heap {
 			fn(e.u)
 		}
 	}
@@ -161,9 +159,8 @@ func (x *parkIndex) forEachUnit(fn func(*Unit)) {
 type parkHeap []parkEntry
 
 // parkLess orders bind candidates: higher priority first, then
-// insertion order — the total order the old per-pass stable sort
-// established.
-func parkLess(a, b parkEntry) bool {
+// insertion order.
+func parkLess(a, b *parkEntry) bool {
 	if a.prio != b.prio {
 		return a.prio > b.prio
 	}
@@ -171,42 +168,45 @@ func parkLess(a, b parkEntry) bool {
 }
 
 func (h *parkHeap) push(e parkEntry) {
-	*h = append(*h, e)
-	s := *h
+	s := append(*h, e)
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !parkLess(s[i], s[parent]) {
+		if !parkLess(&e, &s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = e
+	*h = s
 }
 
 func (h *parkHeap) pop() parkEntry {
 	s := *h
 	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s[last] = parkEntry{}
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(s) && parkLess(s[l], s[small]) {
-			small = l
+	n := len(s) - 1
+	last := s[n]
+	s[n] = parkEntry{} // release the unit for collection
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && parkLess(&s[r], &s[c]) {
+				c = r
+			}
+			if !parkLess(&s[c], &last) {
+				break
+			}
+			s[i] = s[c]
+			i = c
 		}
-		if r < len(s) && parkLess(s[r], s[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
+		s[i] = last
 	}
+	*h = s
 	return top
 }

@@ -484,13 +484,14 @@ func (um *UnitManager) bindLoop(p *sim.Proc) {
 // Each iteration drains a batch: the park entries stamped before the
 // iteration began, best (priority, submission order) first off the
 // heaps. Under a CapacityGated policy, gated classes whose core demand
-// no Active pilot can admit are skipped wholesale — the collapse of the
-// old every-kick full re-offer — except on fullReoffer iterations
-// (pilot topology/state events), which re-offer everything so
-// admissibility and ErrUnschedulable answers stay current. Units the
-// policy re-parks, and entries stamped mid-iteration, go aside until
-// the iteration ends; mid-iteration the batch remainder is hidden from
-// views, exactly as the old detached batch slice was.
+// no Active pilot can admit are never popped: their entries keep their
+// stamps and FIFO places, so a full cluster with a gated backlog costs
+// a pass only the units it offers. fullReoffer iterations (pilot
+// topology/state events) re-offer everything so admissibility and
+// ErrUnschedulable answers stay current. Units the policy re-parks, and
+// entries stamped mid-iteration, go aside until the iteration ends;
+// until then the batch's unoffered remainder, skipped classes included,
+// is hidden from views, exactly as the old detached batch slice was.
 func (um *UnitManager) schedulePass(p *sim.Proc) {
 	for um.passing {
 		um.rerun = true
@@ -546,20 +547,17 @@ func (um *UnitManager) unhide(e parkEntry) {
 	}
 }
 
-// runBatch drains one iteration's batch through the policy.
+// runBatch drains one iteration's batch through the policy, popping
+// only must entries and the gated classes admit accepts (all of them on
+// full iterations).
 func (um *UnitManager) runBatch(p *sim.Proc, full bool) {
 	boundary := um.hideBoundary
+	admit := func(cores int) bool { return full || um.cands.admits(cores) }
 	for {
 		um.cands.ensure()
-		admit := func(cores int) bool { return full || um.cands.admits(cores) }
-		if !um.park.anyOfferable(admit) {
-			// Nothing left that could bind: the hidden remainder (gated
-			// classes beyond current capacity) unhides at endBatch.
-			return
-		}
-		e, ok := um.park.popBest()
+		e, ok := um.park.popBest(admit)
 		if !ok {
-			return
+			return // nothing left that could bind
 		}
 		if e.seq >= boundary {
 			// Stamped mid-iteration (policy re-park, released input,
@@ -570,14 +568,6 @@ func (um *UnitManager) runBatch(p *sim.Proc, full bool) {
 		um.unhide(e)
 		if e.u.State().Final() || e.u.acct != acctParked {
 			continue // went final while parked: drop the stale entry
-		}
-		if e.gated && !admit(e.cores) {
-			// Inadmissible, but ranked above a possible offer: keep the
-			// park (restamped at its processing position, like the old
-			// pass's re-append) without paying the policy round trip.
-			um.park.stamp(&e)
-			um.park.setAside(e)
-			continue
 		}
 		um.offerOne(p, e.u)
 	}

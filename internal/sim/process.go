@@ -7,9 +7,9 @@ import (
 
 // errStopped is the sentinel used to unwind a process goroutine when the
 // engine shuts down. It must never escape the kernel.
-type stoppedError struct{ proc string }
+type stoppedError struct{ p *Proc }
 
-func (e stoppedError) Error() string { return "sim: process stopped: " + e.proc }
+func (e stoppedError) Error() string { return "sim: process stopped: " + e.p.Name() }
 
 type wakeKind int
 
@@ -61,8 +61,11 @@ func OnInterrupt(fn func()) (intr *Interrupted) {
 type Proc struct {
 	eng  *Engine
 	name string
-	id   int
-	fn   func(p *Proc) // the body, until the process starts
+	// namer builds the name on demand for processes spawned with
+	// SpawnNamed; name is empty then.
+	namer fmt.Stringer
+	id    int
+	fn    func(p *Proc) // the body, until the process starts
 	// w is the goroutine running the process, nil before it starts and
 	// after it finishes.
 	w *worker
@@ -70,6 +73,10 @@ type Proc struct {
 	start waiter
 	// prev and next link the engine's live processes in spawn order.
 	prev, next *Proc
+	// set is the ProcSet the process belongs to, if any; sprev and snext
+	// link its members.
+	set          *ProcSet
+	sprev, snext *Proc
 
 	done bool
 
@@ -126,14 +133,22 @@ func (p *Proc) Interrupt(reason any) {
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // Name returns the name given to Spawn, for traces and diagnostics.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	if p.namer != nil {
+		return p.namer.String()
+	}
+	return p.name
+}
 
 // Now reports the current virtual time.
 func (p *Proc) Now() time.Duration { return p.eng.now }
 
 // Tracef writes to the engine trace, prefixed with the process name.
 func (p *Proc) Tracef(format string, args ...any) {
-	p.eng.Tracef("%-24s %s", p.name, fmt.Sprintf(format, args...))
+	if !p.eng.Tracing() {
+		return
+	}
+	p.eng.Tracef("%-24s %s", p.Name(), fmt.Sprintf(format, args...))
 }
 
 // Spawn starts fn as a new process at the current virtual time. The
@@ -144,6 +159,15 @@ func (p *Proc) Tracef(format string, args ...any) {
 // exclusive to the spawned function.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAfter(0, name, fn)
+}
+
+// SpawnNamed is Spawn for processes spawned in bulk: name.String() is
+// called only when the name is read (traces, panic text), so a busy
+// spawner does not build a string per process.
+func (e *Engine) SpawnNamed(name fmt.Stringer, fn func(p *Proc)) *Proc {
+	p := e.spawn(0, "", false, fn)
+	p.namer = name
+	return p
 }
 
 // SpawnAfter starts fn as a new process after delay d of virtual time.
@@ -208,7 +232,7 @@ func (p *Proc) run() {
 			// A real panic in simulation code: surface it with the
 			// process identity attached. This crashes the program,
 			// which is the desired behaviour for a kernel-level bug.
-			panic(fmt.Sprintf("sim: process %q panicked at %s: %v", p.name, e.now, r))
+			panic(fmt.Sprintf("sim: process %q panicked at %s: %v", p.Name(), e.now, r))
 		}
 	}()
 	fn := p.fn
@@ -237,6 +261,50 @@ func (p *Proc) finish() {
 	}
 	p.prev, p.next = nil, nil
 	e.live--
+	if p.set != nil {
+		p.set.remove(p)
+	}
+}
+
+// ProcSet tracks a group of live processes in the order they joined
+// (for example an agent's unit executors). A member leaves the set when
+// it finishes, so both joining and leaving are O(1) and a set never
+// holds finished processes.
+type ProcSet struct{ head, tail *Proc }
+
+// Add puts p, which must be unfinished and in no set, at the end of s.
+func (s *ProcSet) Add(p *Proc) {
+	if p.done || p.set != nil {
+		panic(fmt.Sprintf("sim: ProcSet.Add of process %q: finished or already in a set", p.Name()))
+	}
+	p.set = s
+	if s.tail == nil {
+		s.head = p
+	} else {
+		s.tail.snext, p.sprev = p, s.tail
+	}
+	s.tail = p
+}
+
+func (s *ProcSet) remove(p *Proc) {
+	if p.sprev == nil {
+		s.head = p.snext
+	} else {
+		p.sprev.snext = p.snext
+	}
+	if p.snext == nil {
+		s.tail = p.sprev
+	} else {
+		p.snext.sprev = p.sprev
+	}
+	p.set, p.sprev, p.snext = nil, nil, nil
+}
+
+// Interrupt interrupts every member, in the order they joined.
+func (s *ProcSet) Interrupt(reason any) {
+	for p := s.head; p != nil; p = p.snext {
+		p.Interrupt(reason)
+	}
 }
 
 // parkOn blocks the calling process on waiter w until something wakes it,
@@ -261,7 +329,7 @@ func (p *Proc) parkOn(w *waiter) wakeKind {
 	p.cur = nil
 	switch k {
 	case wakeKilled:
-		panic(stoppedError{p.name})
+		panic(stoppedError{p})
 	case wakeInterrupted:
 		panic(&Interrupted{Reason: w.intReason})
 	}

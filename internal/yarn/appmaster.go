@@ -89,7 +89,7 @@ func (am *AppMaster) Launch(p *sim.Proc, c *Container, body ContainerBody) error
 	}
 	p.Sleep(am.rm.cfg.RPCLatency) // startContainer RPC to the NM
 	rm := am.rm
-	c.proc = rm.eng.Spawn(fmt.Sprintf("yarn:c%d:%s", c.ID, am.app.Name), func(cp *sim.Proc) {
+	c.proc = rm.eng.SpawnNamed((*containerName)(c), func(cp *sim.Proc) {
 		defer c.terminal(ContainerCompleted, 0)
 		c.state = ContainerLocalizing
 		c.nm.localize(cp, am.app)

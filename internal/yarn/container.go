@@ -71,6 +71,12 @@ type Container struct {
 	proc *sim.Proc
 }
 
+// containerName names a container's process ("yarn:c<ID>:<app name>")
+// only when the name is read.
+type containerName Container
+
+func (n *containerName) String() string { return fmt.Sprintf("yarn:c%d:%s", n.ID, n.App.Name) }
+
 // NodeManager returns the NM hosting this container.
 func (c *Container) NodeManager() *NodeManager { return c.nm }
 

@@ -228,11 +228,13 @@
 // (free capacity, a new or resized pilot, fresh submissions) re-offers
 // only the classes the current free capacity could actually satisfy,
 // and pilot-set changes trigger a full re-offer so ErrUnschedulable
-// verdicts stay current. Offer order is priority-descending with FIFO
-// tie-breaks — identical to the previous sort-per-pass loop, so
-// seed-for-seed schedules are unchanged — but each unit is now offered
-// ~2 times instead of once per kick. Representative engine throughput
-// at seed 42 (units/sec, host wall-clock, same hardware):
+// verdicts stay current. A pass never touches a class it skips, so on
+// a full cluster each fresh arrival costs one offer, not a walk over
+// the parked backlog. Offer order is priority-descending with FIFO
+// tie-breaks, and a skipped unit keeps its FIFO place among equal
+// priorities. Each unit is offered ~2 times instead of once per kick.
+// Representative engine throughput at seed 42 (units/sec, host
+// wall-clock, same hardware):
 //
 //	units    rescan loop    capacity-indexed
 //	10²          7523            26235
