@@ -25,8 +25,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -59,43 +61,56 @@ func defaultWorkload() workload {
 }
 
 func main() {
-	file := flag.String("f", "", "workload description (JSON); empty runs the demo workload")
-	verbose := flag.Bool("v", false, "trace simulation events")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams explicit; it
+// returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("radical-pilot", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	file := fs.String("f", "", "workload description (JSON); empty runs the demo workload")
+	verbose := fs.Bool("v", false, "trace simulation events")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	wl := defaultWorkload()
 	if *file != "" {
 		data, err := os.ReadFile(*file)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "radical-pilot:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "radical-pilot:", err)
+			return 1
 		}
 		if err := json.Unmarshal(data, &wl); err != nil {
-			fmt.Fprintln(os.Stderr, "radical-pilot: parsing workload:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "radical-pilot: parsing workload:", err)
+			return 1
 		}
 	}
 	// Any backend registered with the pilot package is a valid mode, and
 	// any registered unit scheduler a valid policy (empty = round-robin).
 	pm := pilot.PilotMode(wl.Mode)
 	if !slices.Contains(pilot.Backends(), wl.Mode) {
-		fmt.Fprintf(os.Stderr, "radical-pilot: unknown mode %q (registered: %s)\n",
+		fmt.Fprintf(stderr, "radical-pilot: unknown mode %q (registered: %s)\n",
 			wl.Mode, strings.Join(pilot.Backends(), ", "))
-		os.Exit(2)
+		return 2
 	}
 	if wl.Scheduler != "" && !slices.Contains(pilot.UnitSchedulers(), wl.Scheduler) {
-		fmt.Fprintf(os.Stderr, "radical-pilot: unknown scheduler %q (registered: %s)\n",
+		fmt.Fprintf(stderr, "radical-pilot: unknown scheduler %q (registered: %s)\n",
 			wl.Scheduler, strings.Join(pilot.UnitSchedulers(), ", "))
-		os.Exit(2)
+		return 2
 	}
 	env, err := experiments.NewEnv(experiments.MachineName(wl.Machine), wl.Nodes+1, wl.Seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "radical-pilot:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "radical-pilot:", err)
+		return 1
 	}
 	if *verbose {
-		env.Eng.SetTrace(os.Stderr)
-		env.Session.AttachRecorder(unitLines(env.Eng))
+		env.Eng.SetTrace(stderr)
+		env.Session.AttachRecorder(stateLines(env.Eng, stderr))
 	}
 	failed := false
 	env.Eng.Spawn("driver", func(p *sim.Proc) {
@@ -108,25 +123,25 @@ func main() {
 			ConnectDedicated: wl.Mode2,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "radical-pilot:", err)
+			fmt.Fprintln(stderr, "radical-pilot:", err)
 			failed = true
 			return
 		}
-		fmt.Printf("[%10s] pilot submitted: %s on %s (%d nodes, mode %s)\n",
+		fmt.Fprintf(stdout, "[%10s] pilot submitted: %s on %s (%d nodes, mode %s)\n",
 			p.Now(), pl.ID, wl.Machine, wl.Nodes, wl.Mode)
 		if !pl.WaitState(p, pilot.PilotActive) {
-			fmt.Fprintf(os.Stderr, "radical-pilot: pilot ended %v\n", pl.State())
+			fmt.Fprintf(stderr, "radical-pilot: pilot ended %v\n", pl.State())
 			failed = true
 			return
 		}
-		fmt.Printf("[%10s] pilot active: queue wait %s, agent startup %s\n",
+		fmt.Fprintf(stdout, "[%10s] pilot active: queue wait %s, agent startup %s\n",
 			p.Now(), metrics.Seconds(pl.QueueWait()), metrics.Seconds(pl.AgentStartup()))
 		if pl.HadoopSpawnTime > 0 {
-			fmt.Printf("[%10s] hadoop cluster spawned in %s\n", p.Now(), metrics.Seconds(pl.HadoopSpawnTime))
+			fmt.Fprintf(stdout, "[%10s] hadoop cluster spawned in %s\n", p.Now(), metrics.Seconds(pl.HadoopSpawnTime))
 		}
 		um, err := pilot.NewUnitManager(env.Session, pilot.WithScheduler(wl.Scheduler))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "radical-pilot:", err)
+			fmt.Fprintln(stderr, "radical-pilot:", err)
 			failed = true
 			return
 		}
@@ -144,11 +159,11 @@ func main() {
 		}
 		units, err := um.Submit(p, descs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "radical-pilot:", err)
+			fmt.Fprintln(stderr, "radical-pilot:", err)
 			failed = true
 			return
 		}
-		fmt.Printf("[%10s] %d units submitted\n", p.Now(), len(units))
+		fmt.Fprintf(stdout, "[%10s] %d units submitted\n", p.Now(), len(units))
 		um.WaitAll(p, units)
 		var startup, ttc metrics.Sample
 		done := 0
@@ -158,10 +173,10 @@ func main() {
 				startup.Add(u.StartupTime())
 				ttc.Add(u.TimeToCompletion())
 			} else {
-				fmt.Fprintf(os.Stderr, "radical-pilot: unit %s: %v (%v)\n", u.ID, u.State(), u.Err)
+				fmt.Fprintf(stderr, "radical-pilot: unit %s: %v (%v)\n", u.ID, u.State(), u.Err)
 			}
 		}
-		fmt.Printf("[%10s] %d/%d units done; unit startup mean %ss (max %ss); time-to-completion mean %ss\n",
+		fmt.Fprintf(stdout, "[%10s] %d/%d units done; unit startup mean %ss (max %ss); time-to-completion mean %ss\n",
 			p.Now(), done, len(units),
 			metrics.Seconds(startup.Mean()), metrics.Seconds(startup.Max()), metrics.Seconds(ttc.Mean()))
 		pl.Cancel()
@@ -170,24 +185,27 @@ func main() {
 	env.Eng.Run()
 	env.Close()
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// unitLines returns a recorder that prints every unit state transition
-// to stderr in the engine trace's line format, so -v shows the unit
-// timeline next to the engine's own lines.
-func unitLines(eng *sim.Engine) *pilot.Recorder {
+// stateLines returns a recorder that prints every unit and pilot state
+// transition to w in the engine trace's line format, so -v shows the
+// unit and pilot timelines next to the engine's own lines.
+func stateLines(eng *sim.Engine, w io.Writer) *pilot.Recorder {
 	rec := pilot.NewRecorder(eng)
 	rec.OnRecord(func(ev pilot.TraceEvent) {
-		if ev.Kind != pilot.EventUnitState {
-			return
+		switch ev.Kind {
+		case pilot.EventUnitState:
+			msg := ev.State
+			if ev.State == pilot.UnitFailed.String() {
+				msg += ": " + ev.Detail
+			}
+			fmt.Fprintf(w, "[%12s] unit %s -> %s\n", ev.At, ev.Unit, msg)
+		case pilot.EventPilotState:
+			fmt.Fprintf(w, "[%12s] pilot %s -> %s\n", ev.At, ev.Pilot, ev.State)
 		}
-		msg := ev.State
-		if ev.State == pilot.UnitFailed.String() {
-			msg += ": " + ev.Detail
-		}
-		fmt.Fprintf(os.Stderr, "[%12s] unit %s -> %s\n", ev.At, ev.Unit, msg)
 	})
 	return rec
 }

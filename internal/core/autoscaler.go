@@ -474,8 +474,6 @@ func (as *Autoscaler) evaluate(p *sim.Proc) bool {
 		as.history = append(as.history, ResizeRecord{At: eng.Now(), From: from, To: as.pilot.Capacity()})
 	case errors.Is(err, ErrNotElastic), errors.Is(err, ErrPilotFinal):
 		return false // permanently pointless: retire the loop
-	default:
-		eng.Tracef("autoscaler %s: resize by %+d: %v", as.pilot.ID, delta, err)
 	}
 	return true
 }

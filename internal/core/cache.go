@@ -91,12 +91,10 @@ func (um *UnitManager) acquireCached(p *sim.Proc, u *Unit) bool {
 	}
 	switch outcome, _ := um.rc.Acquire(key, u); outcome {
 	case cache.Hit:
-		um.session.eng.Tracef("unit %s result-cache hit (%s)", u.ID, key.Short())
 		um.recordCache(u, "hit", key)
 		um.completeFromCache(p, u)
 		return true
 	case cache.Coalesced:
-		um.session.eng.Tracef("unit %s coalesced onto in-flight %s", u.ID, key.Short())
 		um.recordCache(u, "coalesce", key)
 		u.advance(UnitPendingResult)
 		return true

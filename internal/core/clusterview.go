@@ -190,8 +190,7 @@ func (um *UnitManager) trackPilot(pl *Pilot) {
 // every call re-derives the whole ledger by full walk first.
 func (um *UnitManager) sumTotals() *ClusterView {
 	v := um.view
-	v.WaitingUnits = um.park.units + um.park.asideUnits - um.hiddenUnits
-	v.WaitingCores = um.park.cores + um.park.asideCores - um.hiddenCores
+	v.WaitingUnits, v.WaitingCores = um.park.waiting()
 	v.RunningUnits, v.RunningCores = 0, 0
 	for _, pv := range v.Pilots {
 		v.WaitingUnits += pv.WaitingUnits
@@ -225,12 +224,7 @@ func (t *tally) add(i int, u *Unit) {
 // view's totals. Up to 64 pilots it allocates nothing.
 func (um *UnitManager) auditView(v *ClusterView) {
 	var total tally
-	um.park.forEachUnit(func(u *Unit) {
-		if um.hiding && u.parkSeq < um.hideBoundary {
-			return // in the running pass's batch: hidden, like the old detach
-		}
-		total.add(0, u)
-	})
+	um.park.forEachVisible(func(u *Unit) { total.add(0, u) })
 	var scratch [64]tally // stack room for the usual pilot counts
 	rows := scratch[:0]
 	for range v.Pilots {
@@ -321,12 +315,7 @@ func (um *UnitManager) refreshView(v *ClusterView) {
 			}
 		}
 	}
-	um.park.forEachUnit(func(u *Unit) {
-		if um.hiding && u.parkSeq < um.hideBoundary {
-			return
-		}
-		addInputs(u)
-	})
+	um.park.forEachVisible(addInputs)
 	for u := range um.live {
 		if u.acct == acctBoundWaiting {
 			addInputs(u)

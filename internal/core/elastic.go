@@ -212,7 +212,6 @@ func (pl *Pilot) grow(p *sim.Proc, eb ElasticBackend, n int) error {
 		return fmt.Errorf("core: pilot %s grow: %w", pl.ID, err)
 	}
 	ch.nodes = alloc.Nodes
-	eng.Tracef("pilot %s grew by %d nodes (capacity %d)", pl.ID, n, pl.Capacity())
 	return nil
 }
 
@@ -274,7 +273,6 @@ func (pl *Pilot) shrink(p *sim.Proc, eb ElasticBackend, take []*chunk) error {
 		pl.dropChunk(ch)
 		ch.release.Trigger()
 	}
-	pl.session.eng.Tracef("pilot %s shrank by %d nodes (capacity %d)", pl.ID, len(nodes), pl.Capacity())
 	return nil
 }
 

@@ -15,26 +15,35 @@ package core
 // an entry it would not offer, and a skipped entry keeps its stamp (and
 // so its FIFO place among equal priorities).
 //
-// The aside list carries entries popped during the current pass that
-// must not be re-offered within it (units the policy re-parked and
-// entries stamped mid-pass); flushAside returns them to the heaps
-// between passes. Aggregate unit/core counts over heaps and aside feed
+// A pass iteration runs between beginBatch and endBatch. Its batch is
+// the heap entries stamped before it began (seq below boundary); they
+// stay hidden from the waiting counts and visible walks until popped.
+// The hiding is observable — autoscalers read demand mid-pass, and
+// seed-42 elastic results depend on it (TestPassHidesBatchRemainder).
+// The aside list carries entries popped during the iteration that must
+// not be re-offered within it (units the policy re-parked and entries
+// stamped mid-iteration); endBatch returns them to the heaps. Aggregate
+// unit/core counts over heaps and aside, minus the hidden batch, feed
 // the incremental ClusterView.
 type parkIndex struct {
-	// nextSeq stamps insertion order; entries with seq below a pass's
-	// boundary belong to that pass's batch.
-	nextSeq uint64
-	must    parkHeap
+	// nextSeq stamps insertion order; boundary is the open batch's
+	// first seq outside it.
+	nextSeq  uint64
+	boundary uint64
+	batching bool
+	must     parkHeap
 	// classes holds one heap per core demand, in ascending demand order;
 	// a class stays (possibly empty) once created.
 	classes []parkClass
 	aside   []parkEntry
 
-	// units/cores aggregate the heap entries; asideUnits/asideCores the
-	// aside list. Stale entries (units that reached a final state while
+	// units/cores aggregate the heap entries, asideUnits/asideCores the
+	// aside list and hiddenUnits/hiddenCores the heap entries of the
+	// open batch. Stale entries (units that reached a final state while
 	// parked) stay counted until their pop drops them.
-	units, cores           int
-	asideUnits, asideCores int
+	units, cores             int
+	asideUnits, asideCores   int
+	hiddenUnits, hiddenCores int
 
 	// pops counts successful popBest calls: the index's work measure.
 	pops int64
@@ -55,12 +64,41 @@ type parkEntry struct {
 	gated bool
 }
 
-// stamp assigns the next insertion seq to e and records it on the unit
-// (the hidden-batch check in view refreshes reads it back).
+// stamp assigns the next insertion seq to e.
 func (x *parkIndex) stamp(e *parkEntry) {
 	e.seq = x.nextSeq
 	x.nextSeq++
-	e.u.parkSeq = e.seq
+}
+
+// hides reports whether a heap entry stamped seq belongs to the open
+// batch.
+func (x *parkIndex) hides(seq uint64) bool { return x.batching && seq < x.boundary }
+
+// beginBatch opens a pass iteration: every entry parked so far becomes
+// the batch, hidden until popped. No observable instant separates an
+// iteration's last bind from endBatch, so hiding only the unpopped
+// remainder is indistinguishable from detaching the whole batch.
+func (x *parkIndex) beginBatch() {
+	x.boundary, x.batching = x.nextSeq, true
+	x.hiddenUnits, x.hiddenCores = x.units, x.cores
+}
+
+// endBatch closes the pass iteration: the batch remainder becomes
+// visible again and aside entries rejoin the heaps.
+func (x *parkIndex) endBatch() {
+	x.batching = false
+	x.hiddenUnits, x.hiddenCores = 0, 0
+	for _, e := range x.aside {
+		x.insert(e)
+	}
+	x.aside = x.aside[:0]
+	x.asideUnits, x.asideCores = 0, 0
+}
+
+// waiting returns the visible parked units and their summed cores:
+// heaps and aside, minus the open batch's remainder.
+func (x *parkIndex) waiting() (units, cores int) {
+	return x.units + x.asideUnits - x.hiddenUnits, x.cores + x.asideCores - x.hiddenCores
 }
 
 // push inserts a freshly stamped entry for u into its tier's heap.
@@ -70,7 +108,10 @@ func (x *parkIndex) push(u *Unit, gated bool) {
 	x.insert(e)
 }
 
-// insert places an already-stamped entry into its tier's heap.
+// insert places an already-stamped entry into its tier's heap. While a
+// batch is open only fresh pushes arrive here (re-parks go aside), and
+// they are stamped after the batch began, so an inserted entry is never
+// hidden.
 func (x *parkIndex) insert(e parkEntry) {
 	if !e.gated {
 		x.must.push(e)
@@ -117,11 +158,15 @@ func (x *parkIndex) popBest(admit func(cores int) bool) (parkEntry, bool) {
 	e := best.pop()
 	x.units--
 	x.cores -= e.cores
+	if x.hides(e.seq) {
+		x.hiddenUnits--
+		x.hiddenCores -= e.cores
+	}
 	x.pops++
 	return e, true
 }
 
-// setAside holds a popped entry out of the heaps until flushAside — it
+// setAside holds a popped entry out of the heaps until endBatch — it
 // keeps its stamp, stays visible in the waiting counts, and cannot be
 // re-offered within the current pass.
 func (x *parkIndex) setAside(e parkEntry) {
@@ -130,25 +175,20 @@ func (x *parkIndex) setAside(e parkEntry) {
 	x.asideCores += e.cores
 }
 
-// flushAside returns every aside entry to the heaps, between passes.
-func (x *parkIndex) flushAside() {
-	for _, e := range x.aside {
-		x.insert(e)
-	}
-	x.aside = x.aside[:0]
-	x.asideUnits, x.asideCores = 0, 0
-}
-
-// forEachUnit visits every parked unit (heaps and aside) in no
-// particular order; callers must only accumulate commutatively.
-func (x *parkIndex) forEachUnit(fn func(*Unit)) {
-	for _, e := range x.must {
-		fn(e.u)
-	}
-	for _, c := range x.classes {
-		for _, e := range c.heap {
-			fn(e.u)
+// forEachVisible visits every parked unit the waiting counts include
+// (heap entries outside the open batch, and aside) in no particular
+// order; callers must only accumulate commutatively.
+func (x *parkIndex) forEachVisible(fn func(*Unit)) {
+	visit := func(h parkHeap) {
+		for _, e := range h {
+			if !x.hides(e.seq) {
+				fn(e.u)
+			}
 		}
+	}
+	visit(x.must)
+	for _, c := range x.classes {
+		visit(c.heap)
 	}
 	for _, e := range x.aside {
 		fn(e.u)

@@ -71,10 +71,12 @@ func TestParkPopsScaleWithOffers(t *testing.T) {
 }
 
 // TestParkIndexMatchesReference drives the park index through seeded
-// random sequences of push, insert, setAside, flushAside and
+// random sequences of push, insert, setAside, beginBatch, endBatch and
 // popBest with random admissibility and stale units, and checks each
-// pop and every aggregate against a brute-force reference: the
-// admissible entries ordered by (priority desc, seq asc).
+// pop and every aggregate — the hidden batch remainder included —
+// against a brute-force reference: the admissible entries ordered by
+// (priority desc, seq asc), hidden while a batch is open if stamped
+// before it.
 func TestParkIndexMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { checkParkIndex(t, seed) })
@@ -89,6 +91,10 @@ func checkParkIndex(t *testing.T, seed int64) {
 	var heaped, aside, popped []parkEntry
 	stale := make(map[*Unit]bool)
 	var pops int64
+	// next is the reference stamp counter; a batch opened at next hides
+	// the heap entries stamped before it.
+	var next uint64
+	batch := batchRef{}
 	newUnit := func() *Unit {
 		return &Unit{Desc: ComputeUnitDescription{
 			Cores:    1 + rng.Intn(5),
@@ -106,11 +112,13 @@ func checkParkIndex(t *testing.T, seed int64) {
 			u := newUnit()
 			gated := rng.Intn(3) > 0
 			x.push(u, gated)
-			heaped = append(heaped, parkEntry{u: u, prio: u.Desc.Priority, cores: u.Desc.Cores, seq: u.parkSeq, gated: gated})
-		case op < 4 && len(popped) > 0: // back into the heaps, stamp kept or renewed
+			heaped = append(heaped, parkEntry{u: u, prio: u.Desc.Priority, cores: u.Desc.Cores, seq: next, gated: gated})
+			next++
+		case op < 4 && len(popped) > 0 && !batch.open: // back into the heaps, stamp kept or renewed
 			e := take(&popped, rng.Intn(len(popped)))
 			if rng.Intn(2) == 0 {
 				x.stamp(&e)
+				next++
 			}
 			x.insert(e)
 			heaped = append(heaped, e)
@@ -118,8 +126,12 @@ func checkParkIndex(t *testing.T, seed int64) {
 			e := take(&popped, rng.Intn(len(popped)))
 			x.setAside(e)
 			aside = append(aside, e)
+		case op < 6 && !batch.open:
+			x.beginBatch()
+			batch = batchRef{open: true, boundary: next}
 		case op < 6:
-			x.flushAside()
+			x.endBatch()
+			batch = batchRef{}
 			heaped = append(heaped, aside...)
 			aside = aside[:0]
 		case op < 7 && len(heaped) > 0: // a unit goes final while parked
@@ -155,14 +167,20 @@ func checkParkIndex(t *testing.T, seed int64) {
 				popped = append(popped, got)
 			}
 		}
-		checkParkAggregates(t, step, &x, heaped, aside)
+		checkParkAggregates(t, step, &x, heaped, aside, batch)
 		if x.pops != pops {
 			t.Fatalf("step %d: pops = %d, want %d", step, x.pops, pops)
 		}
 	}
 }
 
-func checkParkAggregates(t *testing.T, step int, x *parkIndex, heaped, aside []parkEntry) {
+// batchRef is the reference's view of the open batch.
+type batchRef struct {
+	open     bool
+	boundary uint64
+}
+
+func checkParkAggregates(t *testing.T, step int, x *parkIndex, heaped, aside []parkEntry, batch batchRef) {
 	t.Helper()
 	sum := func(es []parkEntry) (units, cores int) {
 		for _, e := range es {
@@ -171,22 +189,36 @@ func checkParkAggregates(t *testing.T, step int, x *parkIndex, heaped, aside []p
 		}
 		return
 	}
+	var hidden, visible []parkEntry
+	for _, e := range heaped {
+		if batch.open && e.seq < batch.boundary {
+			hidden = append(hidden, e)
+		} else {
+			visible = append(visible, e)
+		}
+	}
+	visible = append(visible, aside...)
 	if u, c := sum(heaped); x.units != u || x.cores != c {
 		t.Fatalf("step %d: heap aggregates %d units/%d cores, want %d/%d", step, x.units, x.cores, u, c)
 	}
 	if u, c := sum(aside); x.asideUnits != u || x.asideCores != c {
 		t.Fatalf("step %d: aside aggregates %d units/%d cores, want %d/%d", step, x.asideUnits, x.asideCores, u, c)
 	}
+	if u, c := sum(hidden); x.hiddenUnits != u || x.hiddenCores != c {
+		t.Fatalf("step %d: hidden aggregates %d units/%d cores, want %d/%d", step, x.hiddenUnits, x.hiddenCores, u, c)
+	}
+	wu, wc := sum(visible)
+	if u, c := x.waiting(); u != wu || c != wc {
+		t.Fatalf("step %d: waiting %d units/%d cores, want %d/%d", step, u, c, wu, wc)
+	}
 	seen := make(map[*Unit]int)
-	x.forEachUnit(func(u *Unit) { seen[u]++ })
-	for _, es := range [][]parkEntry{heaped, aside} {
-		for _, e := range es {
-			seen[e.u]--
-		}
+	x.forEachVisible(func(u *Unit) { seen[u]++ })
+	for _, e := range visible {
+		seen[e.u]--
 	}
 	for u, n := range seen {
 		if n != 0 {
-			t.Fatalf("step %d: forEachUnit visits unit %p %+d times off the reference", step, u, n)
+			t.Fatalf("step %d: forEachVisible visits unit %p %+d times off the reference", step, u, n)
 		}
 	}
 	for i := 1; i < len(x.classes); i++ {

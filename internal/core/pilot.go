@@ -124,7 +124,6 @@ func (pl *Pilot) advance(st PilotState) {
 	}
 	pl.state = st
 	pl.Timestamps[st] = pl.session.eng.Now()
-	pl.session.eng.Tracef("pilot %s -> %s", pl.ID, st)
 	pl.recordState(st)
 	pl.watch.Entered(st)
 }
@@ -147,7 +146,6 @@ func (pl *Pilot) enterResizing() {
 	}
 	pl.state = PilotResizing
 	pl.Timestamps[PilotResizing] = pl.session.eng.Now()
-	pl.session.eng.Tracef("pilot %s -> %s", pl.ID, PilotResizing)
 	pl.recordState(PilotResizing)
 	pl.watch.Entered(PilotResizing)
 }
@@ -163,7 +161,6 @@ func (pl *Pilot) exitResizing() {
 		return
 	}
 	pl.state = PilotActive
-	pl.session.eng.Tracef("pilot %s -> %s", pl.ID, PilotActive)
 	pl.recordState(PilotActive)
 	pl.watch.Entered(PilotActive)
 }

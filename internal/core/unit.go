@@ -31,14 +31,10 @@ type Unit struct {
 	// acct is the unit's ledger phase and acctView the pilot row of the
 	// manager's ClusterView it is counted in (bound phases only); setAcct
 	// is their only writer. unresolved counts the unreplicated inputs a
-	// held unit still waits for (an int32 beside acct keeps Unit at 256
-	// bytes). parkSeq is the unit's current park-index stamp — entries
-	// below a pass's batch boundary are hidden from views while the pass
-	// runs, exactly like the old detached batch slice was.
+	// held unit still waits for (an int32 beside acct keeps Unit small).
 	acct       acctPhase
 	unresolved int32
 	acctView   *PilotView
-	parkSeq    uint64
 }
 
 // acctPhase is a unit's phase in the Unit-Manager's ledger — the one
@@ -113,28 +109,27 @@ func (u *Unit) advance(st UnitState) {
 	if u.state.Final() || st <= u.state {
 		return
 	}
-	u.state = st
-	u.Timestamps[st] = u.session.eng.Now()
-	u.recordState(st, "")
-	u.watch.Entered(st)
+	u.enter(st, "")
 }
 
-// recordState emits the unit's state transition to the session's flight
-// recorder, when one is attached; the nil check is the only cost paid
-// without one.
-func (u *Unit) recordState(st UnitState, detail string) {
-	r := u.session.rec
-	if r == nil {
-		return
+// enter is the unit's one state-entry path: it sets and stamps st,
+// records it (with detail) to the session's flight recorder when one is
+// attached — the nil check is the only cost paid without one — and
+// fires callbacks and wakes waiters.
+func (u *Unit) enter(st UnitState, detail string) {
+	u.state = st
+	u.Timestamps[st] = u.session.eng.Now()
+	if r := u.session.rec; r != nil {
+		ev := obs.Event{
+			Kind: obs.KindUnitState, Unit: u.ID, Name: u.Desc.Name,
+			State: st.String(), Cores: u.Desc.Cores, Detail: detail,
+		}
+		if u.Pilot != nil {
+			ev.Pilot = u.Pilot.ID
+		}
+		r.Record(ev)
 	}
-	ev := obs.Event{
-		Kind: obs.KindUnitState, Unit: u.ID, Name: u.Desc.Name,
-		State: st.String(), Cores: u.Desc.Cores, Detail: detail,
-	}
-	if u.Pilot != nil {
-		ev.Pilot = u.Pilot.ID
-	}
-	r.Record(ev)
+	u.watch.Entered(st)
 }
 
 // fail moves the unit to UnitFailed with a cause, waking every parked
@@ -145,10 +140,7 @@ func (u *Unit) fail(err error) {
 		return
 	}
 	u.Err = err
-	u.state = UnitFailed
-	u.Timestamps[UnitFailed] = u.session.eng.Now()
-	u.recordState(UnitFailed, err.Error())
-	u.watch.Entered(UnitFailed)
+	u.enter(UnitFailed, err.Error())
 }
 
 // cancel moves the unit to UnitCanceled, waking every parked waiter.
@@ -156,10 +148,7 @@ func (u *Unit) cancel() {
 	if u.state.Final() {
 		return
 	}
-	u.state = UnitCanceled
-	u.Timestamps[UnitCanceled] = u.session.eng.Now()
-	u.recordState(UnitCanceled, "")
-	u.watch.Entered(UnitCanceled)
+	u.enter(UnitCanceled, "")
 }
 
 // UnitManager binds Compute-Units to pilots and dispatches them through
@@ -228,14 +217,6 @@ type UnitManager struct {
 	// gauge reading per generation, not per kick.
 	gen       uint64
 	sampleGen uint64
-
-	// hiddenUnits/hiddenCores subtract the in-pass batch from the parked
-	// waiting counts while a pass runs (mirroring the old detached batch
-	// slice), with hideBoundary the park-seq boundary that defines the
-	// batch.
-	hiding                   bool
-	hideBoundary             uint64
-	hiddenUnits, hiddenCores int
 
 	// passes counts completed schedule-pass batches and offered the
 	// units handed to the policy across them (a unit re-offered by a
@@ -508,9 +489,11 @@ func (um *UnitManager) schedulePass(p *sim.Proc) {
 		um.passes++
 		full := um.fullReoffer || !um.policyGated
 		um.fullReoffer = false
-		um.beginBatch()
+		um.park.beginBatch()
+		um.bumpGen()
 		um.runBatch(p, full)
-		um.endBatch()
+		um.park.endBatch()
+		um.bumpGen()
 		um.sampleGauges()
 		if !um.rerun {
 			return
@@ -518,40 +501,10 @@ func (um *UnitManager) schedulePass(p *sim.Proc) {
 	}
 }
 
-// beginBatch opens a pass iteration: everything parked so far becomes
-// the batch, hidden from views until offered (or until the iteration
-// ends — there is no observable instant between the iteration's last
-// bind and the bulk unhide, so hiding only the unprocessed prefix is
-// indistinguishable from the old detach-whole-batch behavior).
-func (um *UnitManager) beginBatch() {
-	um.hideBoundary = um.park.nextSeq
-	um.hiddenUnits, um.hiddenCores = um.park.units, um.park.cores
-	um.hiding = true
-	um.bumpGen()
-}
-
-// endBatch closes a pass iteration: aside entries rejoin the heaps and
-// the batch remainder becomes visible again.
-func (um *UnitManager) endBatch() {
-	um.park.flushAside()
-	um.hiding = false
-	um.hiddenUnits, um.hiddenCores = 0, 0
-	um.bumpGen()
-}
-
-// unhide removes a popped batch entry from the hidden aggregate.
-func (um *UnitManager) unhide(e parkEntry) {
-	if um.hiding && e.seq < um.hideBoundary {
-		um.hiddenUnits--
-		um.hiddenCores -= e.cores
-	}
-}
-
 // runBatch drains one iteration's batch through the policy, popping
 // only must entries and the gated classes admit accepts (all of them on
 // full iterations).
 func (um *UnitManager) runBatch(p *sim.Proc, full bool) {
-	boundary := um.hideBoundary
 	admit := func(cores int) bool { return full || um.cands.admits(cores) }
 	for {
 		um.cands.ensure()
@@ -559,13 +512,12 @@ func (um *UnitManager) runBatch(p *sim.Proc, full bool) {
 		if !ok {
 			return // nothing left that could bind
 		}
-		if e.seq >= boundary {
+		if e.seq >= um.park.boundary {
 			// Stamped mid-iteration (policy re-park, released input,
 			// failover orphan): next iteration's work.
 			um.park.setAside(e)
 			continue
 		}
-		um.unhide(e)
 		if e.u.State().Final() || e.u.acct != acctParked {
 			continue // went final while parked: drop the stale entry
 		}

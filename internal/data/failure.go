@@ -40,7 +40,6 @@ func (dm *Manager) FailPilot(p *sim.Proc, dp *Pilot) error {
 		return nil
 	}
 	dp.failed = true
-	dm.eng.Tracef("data pilot %s (%s) FAILED", dp.ID, dp.store.Name())
 	if r := dm.rec; r != nil {
 		r.Record(obs.Event{Kind: obs.KindStoreFail, Pilot: dp.Label(),
 			Detail: dp.store.Name(), Bytes: dp.store.UsedBytes()})
@@ -110,7 +109,6 @@ func (dm *Manager) reReplicate(p *sim.Proc, du *Unit) error {
 		}
 		du.replicas = append(du.replicas, best)
 		dm.recordReplica(du, best, "re-replicate")
-		dm.eng.Tracef("data unit %s re-replicated to %s", du.ID, best.store.Name())
 	}
 	return nil
 }
@@ -158,7 +156,6 @@ func (dm *Manager) CacheReplica(p *sim.Proc, du *Unit, dp *Pilot) bool {
 			}
 			ent.Value.dropCachedOn(dp)
 			dm.recordReplica(ent.Value, dp, "evict")
-			dm.eng.Tracef("data unit %s evicted from the cache on %s", ent.Value.ID, dp.store.Name())
 		}
 	}
 	if err := dp.store.Ingest(p, du.Name(), need, nil); err != nil {
@@ -167,6 +164,5 @@ func (dm *Manager) CacheReplica(p *sim.Proc, du *Unit, dp *Pilot) bool {
 	du.cached = append(du.cached, dp)
 	dp.cached.Put(du.Name(), du, need)
 	dm.recordReplica(du, dp, "cache")
-	dm.eng.Tracef("data unit %s cached on %s", du.ID, dp.store.Name())
 	return true
 }

@@ -361,9 +361,5 @@ func (dm *Manager) Cancel(du *Unit) {
 	if du.state.Final() || du.state == StateReplicated {
 		return
 	}
-	du.state = StateCanceled
-	du.Timestamps[StateCanceled] = dm.eng.Now()
-	dm.eng.Tracef("data unit %s -> CANCELED", du.ID)
-	du.recordState(StateCanceled, "")
-	du.watch.Entered(StateCanceled)
+	du.enter(StateCanceled, "")
 }

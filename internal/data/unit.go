@@ -215,26 +215,26 @@ func (du *Unit) WaitReady(p *sim.Proc) bool {
 	return du.state == StateReplicated
 }
 
-// advance moves the unit into st, recording the timestamp, firing
-// callbacks and waking waiters.
+// advance moves the unit into st (forward only, never past a final
+// state).
 func (du *Unit) advance(st UnitState) {
 	if du.state.Final() || st <= du.state {
 		return
 	}
-	du.state = st
-	du.Timestamps[st] = du.mgr.eng.Now()
-	du.mgr.eng.Tracef("data unit %s -> %s", du.ID, st)
-	du.recordState(st, "")
-	du.watch.Entered(st)
+	du.enter(st, "")
 }
 
-// recordState emits the Data-Unit's state transition to the manager's
-// flight recorder, when one is attached.
-func (du *Unit) recordState(st UnitState, detail string) {
+// enter is the unit's one state-entry path: it sets and stamps st,
+// records it (with detail) to the manager's flight recorder when one is
+// attached, and fires callbacks and wakes waiters.
+func (du *Unit) enter(st UnitState, detail string) {
+	du.state = st
+	du.Timestamps[st] = du.mgr.eng.Now()
 	if r := du.mgr.rec; r != nil {
 		r.Record(obs.Event{Kind: obs.KindDataState, Data: du.ID, Name: du.Name(),
 			State: st.String(), Bytes: du.Desc.SizeBytes, Detail: detail})
 	}
+	du.watch.Entered(st)
 }
 
 // fail moves the unit to StateFailed with a cause.
@@ -243,9 +243,5 @@ func (du *Unit) fail(err error) {
 		return
 	}
 	du.Err = err
-	du.state = StateFailed
-	du.Timestamps[StateFailed] = du.mgr.eng.Now()
-	du.mgr.eng.Tracef("data unit %s -> FAILED: %v", du.ID, err)
-	du.recordState(StateFailed, err.Error())
-	du.watch.Entered(StateFailed)
+	du.enter(StateFailed, err.Error())
 }

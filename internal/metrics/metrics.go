@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -147,81 +146,6 @@ func (s *Sample) P95() time.Duration { return s.Percentile(0.95) }
 // throughout the paper's figures.
 func Seconds(d time.Duration) string {
 	return fmt.Sprintf("%.1f", d.Seconds())
-}
-
-// Counters is an ordered set of named event counts — the shape cache
-// and scheduler effectiveness numbers take in experiment reports. A
-// name first seen by Add is appended to the order; the zero value is
-// ready to use. All methods are safe for concurrent use, so callbacks
-// firing from different goroutines may share one Counters.
-type Counters struct {
-	mu     sync.Mutex
-	order  []string
-	counts map[string]int64
-}
-
-// Add increments the named counter by delta, creating it at zero (and
-// fixing its report position) on first touch.
-func (c *Counters) Add(name string, delta int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
-	}
-	if _, seen := c.counts[name]; !seen {
-		c.order = append(c.order, name)
-	}
-	c.counts[name] += delta
-}
-
-// Get returns the named counter (0 if never touched).
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[name]
-}
-
-// Names returns the counter names in first-touch order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
-}
-
-// Snapshot returns a point-in-time copy of every counter, safe to read
-// while other goroutines keep counting.
-func (c *Counters) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.counts))
-	for name, v := range c.counts {
-		out[name] = v
-	}
-	return out
-}
-
-// Write renders the counters as a two-column table, in first-touch
-// order.
-func (c *Counters) Write(w io.Writer) {
-	c.mu.Lock()
-	tbl := NewTable("counter", "value")
-	for _, name := range c.order {
-		tbl.AddRow(name, fmt.Sprintf("%d", c.counts[name]))
-	}
-	c.mu.Unlock()
-	tbl.Write(w)
-}
-
-// String renders the counters compactly: "a=1 b=2", in first-touch
-// order.
-func (c *Counters) String() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	parts := make([]string, len(c.order))
-	for i, name := range c.order {
-		parts[i] = fmt.Sprintf("%s=%d", name, c.counts[name])
-	}
-	return strings.Join(parts, " ")
 }
 
 // Table renders aligned text tables.

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -108,77 +107,6 @@ func TestTableRendering(t *testing.T) {
 	// Columns aligned: "stampede" is the widest cell in col 0.
 	if !strings.HasPrefix(lines[3], "wrangler") {
 		t.Fatalf("padded row %q", lines[3])
-	}
-}
-
-func TestCounters(t *testing.T) {
-	var c Counters
-	c.Add("hits", 1)
-	c.Add("misses", 3)
-	c.Add("hits", 2)
-	if got := c.Get("hits"); got != 3 {
-		t.Fatalf("hits = %d, want 3", got)
-	}
-	if got := c.Get("never"); got != 0 {
-		t.Fatalf("untouched counter = %d", got)
-	}
-	if names := c.Names(); len(names) != 2 || names[0] != "hits" || names[1] != "misses" {
-		t.Fatalf("names = %v, want first-touch order", names)
-	}
-	if got := c.String(); got != "hits=3 misses=3" {
-		t.Fatalf("String = %q", got)
-	}
-	var sb strings.Builder
-	c.Write(&sb)
-	if out := sb.String(); !strings.Contains(out, "hits") || !strings.Contains(out, "3") {
-		t.Fatalf("Write output:\n%s", out)
-	}
-	var zero Counters
-	if zero.String() != "" || len(zero.Names()) != 0 {
-		t.Fatal("zero value not empty")
-	}
-	if len(zero.Snapshot()) != 0 {
-		t.Fatal("zero-value snapshot not empty")
-	}
-}
-
-func TestCountersSnapshotIsCopy(t *testing.T) {
-	var c Counters
-	c.Add("hits", 2)
-	snap := c.Snapshot()
-	c.Add("hits", 5)
-	c.Add("misses", 1)
-	if snap["hits"] != 2 || len(snap) != 1 {
-		t.Fatalf("snapshot mutated by later counting: %v", snap)
-	}
-	if got := c.Snapshot(); got["hits"] != 7 || got["misses"] != 1 {
-		t.Fatalf("live counters = %v", got)
-	}
-}
-
-// TestCountersConcurrent hammers one Counters from many goroutines;
-// run under -race this pins the concurrency-safety contract.
-func TestCountersConcurrent(t *testing.T) {
-	var c Counters
-	const workers, each = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				c.Add("events", 1)
-				_ = c.Get("events")
-				if i%100 == 0 {
-					_ = c.Snapshot()
-					_ = c.String()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Get("events"); got != workers*each {
-		t.Fatalf("events = %d, want %d", got, workers*each)
 	}
 }
 

@@ -4,10 +4,11 @@
 // pilot and Data-Unit state transitions, scheduler bind decisions,
 // autoscaler verdicts, UnitGraph hold/release edges, result-cache
 // traffic, replica placement and store failures — each carrying entity
-// IDs so causality is reconstructable from the stream alone. The
-// engine's free-form Tracef lines land in the stream too (KindTrace),
-// but only for engine-level activity: batch queue, YARN, pilot and
-// data tier. A unit transition is recorded once, as KindUnitState.
+// IDs so causality is reconstructable from the stream alone. Each of
+// those facts is recorded once, as its typed event. The engine's
+// free-form Tracef lines land in the stream too (KindTrace), but only
+// for activity no typed event covers: batch-queue, YARN and agent
+// lines.
 // On top of the stream sit a Chrome trace-event exporter
 // (WriteChromeTrace, viewable in Perfetto), a gauge Series sampled from
 // the ClusterView on scheduling events (exportable as JSONL), and the
@@ -73,9 +74,10 @@ const (
 	// Unit-Manager; Critical carries its critical-path length.
 	KindGraphAdmit Kind = "graph-admit"
 	// KindTrace is a free-form sim.Engine.Tracef line routed through
-	// the recorder; Detail holds the formatted message. Only engine
-	// lines (batch queue, YARN, pilot, data tier) arrive this way:
-	// unit transitions are KindUnitState events alone.
+	// the recorder; Detail holds the formatted message. Only batch
+	// queue, YARN and agent lines arrive this way: unit, pilot and
+	// Data-Unit transitions, cache traffic, replica motion and store
+	// failures are their typed events alone.
 	KindTrace Kind = "trace"
 )
 

@@ -5,10 +5,10 @@
 // concurrency and utilization series, the quantities behind the paper's
 // overhead discussion.
 //
-// The decomposition consumes state-entry timelines, which come from two
-// equivalent sources: a unit's Timestamps map (UnitBreakdown), or a
-// flight recorder's event stream (Timelines, ProfileFromEvents,
-// SpansFromEvents) — one source of truth when a recorder is attached.
+// The decomposition has one source: a flight recorder's event stream,
+// whose unit state-entry events ProfileFromEvents and SpansFromEvents
+// fold into per-unit timelines — so a serialized trace or a finished
+// experiment cell profiles exactly like a live session.
 package profiling
 
 import (
@@ -84,34 +84,23 @@ func (b Breakdown) Total() time.Duration {
 	return t
 }
 
-// UnitBreakdown decomposes one finished unit's time-to-completion.
-// Returns an error if the unit did not complete. Every phase is present
-// in the result (zero when skipped); the sum over phases covers the
-// whole span from the first recorded milestone to DONE, so hold time
-// and cache-completed lifetimes are attributed, not dropped.
-func UnitBreakdown(u *pilot.Unit) (Breakdown, error) {
-	if u.State() != pilot.UnitDone {
-		return nil, fmt.Errorf("profiling: unit %s is %v, not DONE", u.ID, u.State())
+// breakdownFromEntries decomposes one unit's recorded state-entry
+// times, keyed by state name (one value of timelines). It refuses a unit
+// that never reached DONE. Every phase is present in the result (zero
+// when skipped); gaps between consecutive present milestones go to the
+// earlier milestone's phase and the final present milestone runs to
+// DONE, so the phases cover the whole span from the first recorded
+// milestone to DONE — hold time and cache-completed lifetimes are
+// attributed, not dropped.
+func breakdownFromEntries(unit string, entry map[string]time.Duration) (Breakdown, error) {
+	done, ok := entry[pilot.UnitDone.String()]
+	if !ok {
+		return nil, fmt.Errorf("profiling: unit %s never reached DONE in the event stream", unit)
 	}
-	entry := make(map[string]time.Duration, len(u.Timestamps))
-	for st, at := range u.Timestamps {
-		entry[st.String()] = at
-	}
-	return breakdownFromEntries(entry), nil
-}
-
-// breakdownFromEntries runs the milestone walk over a completed unit's
-// state-entry times, keyed by state name (the one format both
-// Unit.Timestamps and the flight-recorder event stream reduce to). The
-// caller guarantees a DONE entry exists. Gaps between consecutive
-// present milestones go to the earlier milestone's phase; the final
-// present milestone runs to DONE.
-func breakdownFromEntries(entry map[string]time.Duration) Breakdown {
 	b := make(Breakdown, len(Phases))
 	for _, ph := range Phases {
 		b[ph] = 0
 	}
-	done := entry[pilot.UnitDone.String()]
 	type point struct {
 		at    time.Duration
 		phase Phase
@@ -131,35 +120,13 @@ func breakdownFromEntries(entry map[string]time.Duration) Breakdown {
 			b[pt.phase] += end - pt.at
 		}
 	}
-	return b
+	return b, nil
 }
 
 // Profile aggregates breakdowns over a set of units.
 type Profile struct {
 	Units  int
 	Phases map[Phase]*metrics.Sample
-}
-
-// NewProfile builds an aggregate profile from finished units (units in
-// other states are skipped and counted separately).
-func NewProfile(units []*pilot.Unit) (*Profile, int) {
-	p := &Profile{Phases: make(map[Phase]*metrics.Sample)}
-	for _, ph := range Phases {
-		p.Phases[ph] = &metrics.Sample{}
-	}
-	skipped := 0
-	for _, u := range units {
-		b, err := UnitBreakdown(u)
-		if err != nil {
-			skipped++
-			continue
-		}
-		p.Units++
-		for ph, d := range b {
-			p.Phases[ph].Add(d)
-		}
-	}
-	return p, skipped
 }
 
 // Write renders the aggregate table.
@@ -181,27 +148,10 @@ type Span struct {
 	Start, End time.Duration
 }
 
-// ExecutionSpans extracts the executing intervals of finished units.
-func ExecutionSpans(units []*pilot.Unit) []Span {
-	var spans []Span
-	for _, u := range units {
-		start, ok1 := u.Timestamps[pilot.UnitExecuting]
-		end, ok2 := u.Timestamps[pilot.UnitStagingOutput]
-		if !ok2 {
-			end, ok2 = u.Timestamps[pilot.UnitDone]
-		}
-		if ok1 && ok2 && end > start {
-			spans = append(spans, Span{Start: start, End: end})
-		}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-	return spans
-}
-
-// Timelines reduces a flight recorder's event stream to per-unit
+// timelines reduces a flight recorder's event stream to per-unit
 // state-entry times: unit ID → state name → entry time (first entry
 // wins, matching Unit.Timestamps' forward-only semantics).
-func Timelines(events []obs.Event) map[string]map[string]time.Duration {
+func timelines(events []obs.Event) map[string]map[string]time.Duration {
 	tl := make(map[string]map[string]time.Duration)
 	for _, ev := range events {
 		if ev.Kind != obs.KindUnitState || ev.Unit == "" {
@@ -219,27 +169,15 @@ func Timelines(events []obs.Event) map[string]map[string]time.Duration {
 	return tl
 }
 
-// BreakdownFromStates decomposes one unit's recorded state-entry times
-// (one value of Timelines). Returns an error if the unit never reached
-// DONE in the stream.
-func BreakdownFromStates(unit string, entry map[string]time.Duration) (Breakdown, error) {
-	if _, ok := entry[pilot.UnitDone.String()]; !ok {
-		return nil, fmt.Errorf("profiling: unit %s never reached DONE in the event stream", unit)
-	}
-	return breakdownFromEntries(entry), nil
-}
-
-// ProfileFromEvents builds the aggregate profile from a flight
-// recorder's event stream — the event-sourced twin of NewProfile, for
-// when the units themselves are out of reach (a serialized trace, a
-// finished experiment cell). Units that never reached DONE are skipped
+// ProfileFromEvents aggregates the breakdowns of every unit in a flight
+// recorder's event stream. Units that never reached DONE are skipped
 // and counted.
 func ProfileFromEvents(events []obs.Event) (*Profile, int) {
 	p := &Profile{Phases: make(map[Phase]*metrics.Sample)}
 	for _, ph := range Phases {
 		p.Phases[ph] = &metrics.Sample{}
 	}
-	tl := Timelines(events)
+	tl := timelines(events)
 	ids := make([]string, 0, len(tl))
 	for id := range tl {
 		ids = append(ids, id)
@@ -247,7 +185,7 @@ func ProfileFromEvents(events []obs.Event) (*Profile, int) {
 	sort.Strings(ids)
 	skipped := 0
 	for _, id := range ids {
-		b, err := BreakdownFromStates(id, tl[id])
+		b, err := breakdownFromEntries(id, tl[id])
 		if err != nil {
 			skipped++
 			continue
@@ -260,12 +198,12 @@ func ProfileFromEvents(events []obs.Event) (*Profile, int) {
 	return p, skipped
 }
 
-// SpansFromEvents extracts executing intervals from a flight recorder's
-// event stream — the event-sourced twin of ExecutionSpans, feeding
-// MaxConcurrency and Utilization.
+// SpansFromEvents extracts the executing intervals of a flight
+// recorder's event stream, sorted by start, feeding MaxConcurrency and
+// Utilization.
 func SpansFromEvents(events []obs.Event) []Span {
 	var spans []Span
-	for _, entry := range Timelines(events) {
+	for _, entry := range timelines(events) {
 		start, ok1 := entry[pilot.UnitExecuting.String()]
 		end, ok2 := entry[pilot.UnitStagingOutput.String()]
 		if !ok2 {

@@ -11,27 +11,18 @@ import (
 	"repro/pilot"
 )
 
-// runUnits drives a small pilot workload and returns its units and pilot.
-func runUnits(t *testing.T, mode pilot.PilotMode, n int) ([]*pilot.Unit, *pilot.Pilot) {
-	t.Helper()
-	units, pl, _ := runWorkload(t, mode, n, false)
-	return units, pl
-}
-
-// runWorkload is runUnits with an optional flight recorder attached, for
-// cross-checking the Timestamps-based and event-sourced decompositions.
-func runWorkload(t *testing.T, mode pilot.PilotMode, n int, record bool) ([]*pilot.Unit, *pilot.Pilot, *pilot.Recorder) {
+// runWorkload drives a small pilot workload under a flight recorder and
+// returns its units, its pilot and the recorded event stream — the one
+// source every decomposition here reads.
+func runWorkload(t *testing.T, mode pilot.PilotMode, n int) ([]*pilot.Unit, *pilot.Pilot, []pilot.TraceEvent) {
 	t.Helper()
 	env, err := experiments.NewEnv(experiments.Wrangler, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	var rec *pilot.Recorder
-	if record {
-		rec = pilot.NewRecorder(env.Eng)
-		env.Session.AttachRecorder(rec)
-	}
+	rec := pilot.NewRecorder(env.Eng)
+	env.Session.AttachRecorder(rec)
 	var units []*pilot.Unit
 	var pl *pilot.Pilot
 	env.Eng.Spawn("driver", func(p *sim.Proc) {
@@ -73,13 +64,14 @@ func runWorkload(t *testing.T, mode pilot.PilotMode, n int, record bool) ([]*pil
 		pl.Cancel()
 	})
 	env.Eng.Run()
-	return units, pl, rec
+	return units, pl, rec.Events()
 }
 
 func TestUnitBreakdownSumsToTTC(t *testing.T) {
-	units, _ := runUnits(t, pilot.ModeHPC, 4)
+	units, _, events := runWorkload(t, pilot.ModeHPC, 4)
+	tl := timelines(events)
 	for _, u := range units {
-		b, err := UnitBreakdown(u)
+		b, err := breakdownFromEntries(u.ID, tl[u.ID])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,19 +84,27 @@ func TestUnitBreakdownSumsToTTC(t *testing.T) {
 	}
 }
 
+// TestBreakdownRejectsUnfinishedUnit: a unit still NEW — absent from the
+// stream, or with nothing past NEW in it — is refused, and a stream
+// holding only such a unit profiles nothing.
 func TestBreakdownRejectsUnfinishedUnit(t *testing.T) {
-	e := sim.NewEngine()
-	defer e.Close()
-	_ = pilot.NewSession(e)
-	u := &pilot.Unit{} // zero unit: state NEW
-	if _, err := UnitBreakdown(u); err == nil {
+	if _, err := breakdownFromEntries("u1", nil); err == nil {
+		t.Fatal("breakdown of a unit absent from the stream accepted")
+	}
+	if _, err := breakdownFromEntries("u1", map[string]time.Duration{pilot.UnitNew.String(): 0}); err == nil {
 		t.Fatal("breakdown of NEW unit accepted")
+	}
+	prof, skipped := ProfileFromEvents([]pilot.TraceEvent{
+		{Kind: pilot.EventUnitState, Unit: "u1", State: pilot.UnitNew.String()},
+	})
+	if skipped != 1 || prof.Units != 0 {
+		t.Fatalf("ProfileFromEvents(NEW) = %d units, %d skipped; want 0/1", prof.Units, skipped)
 	}
 }
 
 func TestProfileAggregatesAndRenders(t *testing.T) {
-	units, _ := runUnits(t, pilot.ModeYARN, 6)
-	prof, skipped := NewProfile(units)
+	_, _, events := runWorkload(t, pilot.ModeYARN, 6)
+	prof, skipped := ProfileFromEvents(events)
 	if skipped != 0 {
 		t.Fatalf("%d units skipped", skipped)
 	}
@@ -125,8 +125,8 @@ func TestProfileAggregatesAndRenders(t *testing.T) {
 }
 
 func TestConcurrencyAndUtilization(t *testing.T) {
-	units, _ := runUnits(t, pilot.ModeHPC, 8)
-	spans := ExecutionSpans(units)
+	_, _, events := runWorkload(t, pilot.ModeHPC, 8)
+	spans := SpansFromEvents(events)
 	if len(spans) != 8 {
 		t.Fatalf("%d spans, want 8", len(spans))
 	}
@@ -161,12 +161,22 @@ func TestMaxConcurrencySynthetic(t *testing.T) {
 // sec shortens synthetic timeline literals.
 func sec(s int) time.Duration { return time.Duration(s) * time.Second }
 
+// mustBreakdown decomposes a synthetic timeline that reaches DONE.
+func mustBreakdown(t *testing.T, entry map[string]time.Duration) Breakdown {
+	t.Helper()
+	b, err := breakdownFromEntries("u1", entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestBreakdownSkipsAbsentStagingStates: a unit that never entered the
 // staging states (no inputs to pull, instant stage-out) still decomposes
 // fully — the milestone walk hands each absent state's span to the
 // preceding phase instead of dropping it.
 func TestBreakdownSkipsAbsentStagingStates(t *testing.T) {
-	b := breakdownFromEntries(map[string]time.Duration{
+	b := mustBreakdown(t, map[string]time.Duration{
 		pilot.UnitSchedulingUM.String():    sec(0),
 		pilot.UnitPendingAgent.String():    sec(2),
 		pilot.UnitSchedulingAgent.String(): sec(3),
@@ -197,7 +207,7 @@ func TestBreakdownSkipsAbsentStagingStates(t *testing.T) {
 // (UMGR_PENDING_RESULT), whose only other milestones are UMGR_SCHEDULING
 // and DONE.
 func TestBreakdownAttributesHoldTime(t *testing.T) {
-	held := breakdownFromEntries(map[string]time.Duration{
+	held := mustBreakdown(t, map[string]time.Duration{
 		pilot.UnitPendingInput.String():    sec(0),
 		pilot.UnitSchedulingUM.String():    sec(10),
 		pilot.UnitSchedulingAgent.String(): sec(11),
@@ -213,7 +223,7 @@ func TestBreakdownAttributesHoldTime(t *testing.T) {
 		t.Errorf("input hold: total = %v, want 44s (hold attributed, not dropped)", held.Total())
 	}
 
-	waiter := breakdownFromEntries(map[string]time.Duration{
+	waiter := mustBreakdown(t, map[string]time.Duration{
 		pilot.UnitPendingResult.String(): sec(5),
 		pilot.UnitSchedulingUM.String():  sec(20),
 		pilot.UnitDone.String():          sec(21),
@@ -230,14 +240,16 @@ func TestBreakdownAttributesHoldTime(t *testing.T) {
 }
 
 // TestBreakdownFailedUnit: a unit that really failed (its only pilot
-// canceled before it could bind) is refused by UnitBreakdown and
-// skipped by NewProfile rather than decomposed.
+// canceled before it could bind) is refused by the breakdown and
+// skipped by ProfileFromEvents rather than decomposed.
 func TestBreakdownFailedUnit(t *testing.T) {
 	env, err := experiments.NewEnv(experiments.Wrangler, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
+	rec := pilot.NewRecorder(env.Eng)
+	env.Session.AttachRecorder(rec)
 	var units []*pilot.Unit
 	env.Eng.Spawn("driver", func(p *sim.Proc) {
 		pm := pilot.NewPilotManager(env.Session)
@@ -268,62 +280,58 @@ func TestBreakdownFailedUnit(t *testing.T) {
 	if len(units) != 1 || units[0].State() != pilot.UnitFailed {
 		t.Fatalf("expected one FAILED unit, got %v", units)
 	}
-	if _, err := UnitBreakdown(units[0]); err == nil {
-		t.Fatal("UnitBreakdown accepted a FAILED unit")
+	events := rec.Events()
+	entry := timelines(events)[units[0].ID]
+	if _, ok := entry[pilot.UnitFailed.String()]; !ok {
+		t.Fatalf("FAILED missing from the unit's recorded timeline %v", entry)
 	}
-	prof, skipped := NewProfile(units)
+	if _, err := breakdownFromEntries(units[0].ID, entry); err == nil {
+		t.Fatal("breakdown accepted a FAILED unit")
+	}
+	prof, skipped := ProfileFromEvents(events)
 	if skipped != 1 || prof.Units != 0 {
-		t.Fatalf("NewProfile(failed) = %d units, %d skipped; want 0/1", prof.Units, skipped)
+		t.Fatalf("ProfileFromEvents(failed) = %d units, %d skipped; want 0/1", prof.Units, skipped)
 	}
 }
 
-// TestBreakdownFromStatesRequiresDone mirrors the failed-unit rule on
-// the event-sourced path.
+// TestBreakdownFromStatesRequiresDone: a recorded timeline that ends in
+// FAILED is refused, whatever milestones precede it.
 func TestBreakdownFromStatesRequiresDone(t *testing.T) {
-	_, err := BreakdownFromStates("u1", map[string]time.Duration{
+	_, err := breakdownFromEntries("u1", map[string]time.Duration{
 		pilot.UnitSchedulingUM.String(): sec(0),
 		pilot.UnitFailed.String():       sec(3),
 	})
 	if err == nil {
-		t.Fatal("BreakdownFromStates accepted a stream that never reached DONE")
+		t.Fatal("breakdown accepted a stream that never reached DONE")
 	}
 }
 
-// TestEventStreamMatchesTimestamps: the flight-recorder event stream and
-// the units' own Timestamps maps are two views of one timeline — the
-// breakdowns, profiles and execution spans derived from each must agree
-// exactly.
+// TestEventStreamMatchesTimestamps: the recorded stream holds every state
+// a unit entered, at the time its Timestamps say — every state but NEW,
+// which is stamped at submission and not recorded — so profiling from
+// the stream loses nothing the units knew.
 func TestEventStreamMatchesTimestamps(t *testing.T) {
-	units, _, rec := runWorkload(t, pilot.ModeHPC, 3, true)
-	tl := Timelines(rec.Events())
+	units, _, events := runWorkload(t, pilot.ModeHPC, 3)
+	tl := timelines(events)
 	for _, u := range units {
-		fromUnit, err := UnitBreakdown(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromEvents, err := BreakdownFromStates(u.ID, tl[u.ID])
-		if err != nil {
-			t.Fatalf("unit %s missing from event stream: %v", u.ID, err)
-		}
-		for _, ph := range Phases {
-			if fromUnit[ph] != fromEvents[ph] {
-				t.Errorf("unit %s phase %s: timestamps say %v, events say %v",
-					u.ID, ph, fromUnit[ph], fromEvents[ph])
+		want := make(map[string]time.Duration, len(u.Timestamps))
+		for st, at := range u.Timestamps {
+			if st != pilot.UnitNew {
+				want[st.String()] = at
 			}
 		}
+		if !reflect.DeepEqual(tl[u.ID], want) {
+			t.Errorf("unit %s: stream says %v, Timestamps say %v", u.ID, tl[u.ID], want)
+		}
 	}
-	p, skipped := ProfileFromEvents(rec.Events())
+	p, skipped := ProfileFromEvents(events)
 	if skipped != 0 || p.Units != len(units) {
 		t.Fatalf("ProfileFromEvents = %d units, %d skipped; want %d/0", p.Units, skipped, len(units))
-	}
-	s1, s2 := ExecutionSpans(units), SpansFromEvents(rec.Events())
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("spans diverge:\n units: %v\nevents: %v", s1, s2)
 	}
 }
 
 func TestPilotProfile(t *testing.T) {
-	_, pl := runUnits(t, pilot.ModeYARN, 2)
+	_, pl, _ := runWorkload(t, pilot.ModeYARN, 2)
 	ov := PilotProfile(pl)
 	if ov.AgentStartup <= 0 || ov.QueueWait <= 0 {
 		t.Fatalf("overheads not populated: %+v", ov)

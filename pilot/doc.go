@@ -167,13 +167,13 @@
 // autoscaler grow/shrink/hold decisions; DAG admissions and
 // hold/release edges; result-cache hits, misses and coalesces; replica
 // placement, failure and re-replication; and the engine's Tracef
-// lines (batch-queue, YARN, pilot and data-tier lines; unit
-// transitions are recorded only as typed unit-state events). On every
-// scheduling event the recorder also samples ClusterView into a Series
-// of live gauges (cores, utilization, demand, cache counters),
-// exportable as JSON Lines. Events and samples are kept in blocks that
-// are never copied as the recording grows; Recorder.Events and
-// Series.Samples each return one exact-size copy.
+// lines (batch-queue, YARN and agent lines only: each fact above is
+// recorded once, as its typed event). On every scheduling event the
+// recorder also samples ClusterView into a Series of live gauges
+// (cores, utilization, demand, cache counters), exportable as JSON
+// Lines. Events and samples are kept in blocks that are never copied
+// as the recording grows; Recorder.Events and Series.Samples each
+// return one exact-size copy.
 //
 // Four consumers sit on the stream: WriteChromeTrace and
 // WriteChromeTraceCells render it as Chrome trace-event JSON viewable

@@ -40,8 +40,9 @@ const (
 	EventReplica    = obs.KindReplica
 	EventStoreFail  = obs.KindStoreFail
 	EventGraphAdmit = obs.KindGraphAdmit
-	// EventTrace is an engine Tracef line (batch queue, YARN, pilot,
-	// data tier); unit transitions are EventUnitState only.
+	// EventTrace is an engine Tracef line (batch queue, YARN, agent);
+	// every fact a typed event records — unit, pilot and Data-Unit
+	// transitions, cache traffic, replica motion — is that event only.
 	EventTrace = obs.KindTrace
 )
 
