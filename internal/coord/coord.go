@@ -7,7 +7,6 @@
 package coord
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -18,8 +17,6 @@ type Store struct {
 	eng    *sim.Engine
 	rtt    sim.Duration
 	queues map[string]*sim.Queue[any]
-	docs   map[string]map[string]any
-	ops    int
 }
 
 // NewStore creates a store whose operations cost one rtt round trip each.
@@ -29,49 +26,14 @@ func NewStore(e *sim.Engine, rtt sim.Duration) *Store {
 		eng:    e,
 		rtt:    rtt,
 		queues: make(map[string]*sim.Queue[any]),
-		docs:   make(map[string]map[string]any),
 	}
 }
 
-// Ops returns the number of store operations performed (round trips).
-func (s *Store) Ops() int { return s.ops }
-
-func (s *Store) roundTrip(p *sim.Proc) {
-	s.ops++
-	p.Sleep(s.rtt)
-}
-
-// Insert stores doc under (collection, id), failing if it exists.
-func (s *Store) Insert(p *sim.Proc, collection, id string, doc any) error {
-	s.roundTrip(p)
-	coll := s.docs[collection]
-	if coll == nil {
-		coll = make(map[string]any)
-		s.docs[collection] = coll
-	}
-	if _, ok := coll[id]; ok {
-		return fmt.Errorf("coord: duplicate id %s/%s", collection, id)
-	}
-	coll[id] = doc
-	return nil
-}
-
-// Update stores doc under (collection, id), overwriting any prior value.
+// Update publishes doc under (collection, id), overwriting any prior
+// value. No simulated client reads documents back, so only the round
+// trip is modelled.
 func (s *Store) Update(p *sim.Proc, collection, id string, doc any) {
-	s.roundTrip(p)
-	coll := s.docs[collection]
-	if coll == nil {
-		coll = make(map[string]any)
-		s.docs[collection] = coll
-	}
-	coll[id] = doc
-}
-
-// Find retrieves the document at (collection, id).
-func (s *Store) Find(p *sim.Proc, collection, id string) (any, bool) {
-	s.roundTrip(p)
-	doc, ok := s.docs[collection][id]
-	return doc, ok
+	p.Sleep(s.rtt)
 }
 
 // queue returns the named queue, creating it on first use.
@@ -86,26 +48,13 @@ func (s *Store) queue(name string) *sim.Queue[any] {
 
 // Push appends v to the named queue.
 func (s *Store) Push(p *sim.Proc, queueName string, v any) {
-	s.roundTrip(p)
+	p.Sleep(s.rtt)
 	s.queue(queueName).Put(v)
 }
 
 // PopWait blocks until an item is available on the queue or the timeout
 // expires, paying the round trip up front (the agent's polling request).
 func (s *Store) PopWait(p *sim.Proc, queueName string, timeout time.Duration) (any, bool) {
-	s.roundTrip(p)
+	p.Sleep(s.rtt)
 	return s.queue(queueName).GetTimeout(p, timeout)
-}
-
-// TryPop removes the queue head if present, without blocking beyond the
-// round trip.
-func (s *Store) TryPop(p *sim.Proc, queueName string) (any, bool) {
-	s.roundTrip(p)
-	return s.queue(queueName).TryGet()
-}
-
-// QueueLen reports the number of buffered items (no round trip; used by
-// tests and metrics, not by simulated clients).
-func (s *Store) QueueLen(queueName string) int {
-	return s.queue(queueName).Len()
 }

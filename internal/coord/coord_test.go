@@ -7,39 +7,13 @@ import (
 	"repro/internal/sim"
 )
 
-func TestDocumentCRUD(t *testing.T) {
-	e := sim.NewEngine()
-	s := NewStore(e, 10*time.Millisecond)
-	e.Spawn("client", func(p *sim.Proc) {
-		if err := s.Insert(p, "pilots", "p1", "NEW"); err != nil {
-			t.Error(err)
-		}
-		if err := s.Insert(p, "pilots", "p1", "AGAIN"); err == nil {
-			t.Error("duplicate insert accepted")
-		}
-		s.Update(p, "pilots", "p1", "ACTIVE")
-		v, ok := s.Find(p, "pilots", "p1")
-		if !ok || v != "ACTIVE" {
-			t.Errorf("find = %v, %v", v, ok)
-		}
-		if _, ok := s.Find(p, "pilots", "nope"); ok {
-			t.Error("found nonexistent doc")
-		}
-	})
-	e.Run()
-	e.Close()
-	if s.Ops() != 5 {
-		t.Fatalf("ops = %d, want 5", s.Ops())
-	}
-}
-
 func TestOperationsPayRoundTrip(t *testing.T) {
 	e := sim.NewEngine()
 	s := NewStore(e, 25*time.Millisecond)
 	var elapsed time.Duration
 	e.Spawn("client", func(p *sim.Proc) {
 		s.Update(p, "c", "id", 1)
-		s.Find(p, "c", "id")
+		s.Push(p, "q", 1)
 		elapsed = p.Now()
 	})
 	e.Run()
@@ -88,24 +62,4 @@ func TestPopWaitTimeout(t *testing.T) {
 	if ok || at != 2*time.Second {
 		t.Fatalf("ok=%v at=%v, want timeout at 2s", ok, at)
 	}
-}
-
-func TestTryPopAndQueueLen(t *testing.T) {
-	e := sim.NewEngine()
-	s := NewStore(e, 0)
-	e.Spawn("x", func(p *sim.Proc) {
-		if _, ok := s.TryPop(p, "q"); ok {
-			t.Error("TryPop on empty queue returned a value")
-		}
-		s.Push(p, "q", "a")
-		if s.QueueLen("q") != 1 {
-			t.Errorf("len = %d, want 1", s.QueueLen("q"))
-		}
-		v, ok := s.TryPop(p, "q")
-		if !ok || v != "a" {
-			t.Errorf("TryPop = %v, %v", v, ok)
-		}
-	})
-	e.Run()
-	e.Close()
 }

@@ -92,7 +92,7 @@ func TestClusterViewCountsAndDataBytes(t *testing.T) {
 		plA.WaitState(p, PilotActive)
 		plB.WaitState(p, PilotActive)
 		for _, u := range units {
-			u.watch.Await(p, u.State(), func(s UnitState) bool { return s >= UnitExecuting })
+			u.watch.AwaitMin(p, u.State(), UnitExecuting)
 		}
 		v = um.ClusterView()
 		if v.RunningUnits != 2 || v.RunningCores != 3 || v.WaitingUnits != 0 {
@@ -149,7 +149,7 @@ func TestClusterViewPersistent(t *testing.T) {
 		// A state change (the unit starting to execute) must show up in
 		// the same view.
 		pl.WaitState(p, PilotActive)
-		units[0].watch.Await(p, units[0].State(), func(s UnitState) bool { return s >= UnitExecuting })
+		units[0].watch.AwaitMin(p, units[0].State(), UnitExecuting)
 		same("after the unit started", um.ClusterView())
 		if v.RunningUnits != 1 || v.WaitingUnits != 0 || pv.RunningUnits != 1 {
 			t.Errorf("refreshed view: running %d (pilot %d), waiting %d; want 1 (1), 0",
@@ -288,7 +288,7 @@ func TestBindProbesAllocateNothing(t *testing.T) {
 				return
 			}
 			for _, u := range units {
-				u.watch.Await(p, u.State(), func(s UnitState) bool { return s >= UnitExecuting })
+				u.watch.AwaitMin(p, u.State(), UnitExecuting)
 			}
 			if v := um.ClusterView(); v.RunningUnits != len(units) || len(v.Pilots) != npilots {
 				t.Errorf("view: %d running on %d pilots, want %d on %d",

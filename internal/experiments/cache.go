@@ -9,7 +9,6 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/pilot"
 )
 
@@ -62,26 +61,6 @@ type CacheRow struct {
 	Cache pilot.CacheSnapshot
 }
 
-// cacheSpec is the comparison machine: two 8-core nodes, so the 2-core
-// jobs run eight wide and redundant executions cost visible makespan.
-func cacheSpec() cluster.MachineSpec {
-	return cluster.MachineSpec{
-		Name:  "cache",
-		Nodes: 2,
-		Node: cluster.NodeSpec{
-			Cores: 8, MemoryMB: 32 * 1024, DiskBW: 400e6,
-			DiskOpLatency: time.Millisecond, NICBW: 1e9,
-		},
-		FabricBW: 10e9,
-		Lustre: storage.LustreSpec{
-			AggregateBW: 1e9, MDSServers: 2,
-			MDSServiceTime: 2 * time.Millisecond, ClientLatency: 3 * time.Millisecond,
-		},
-		CPUFactor:  1,
-		ExternalBW: 500e6,
-	}
-}
-
 // RunCacheComparison runs the redundant workload twice: fresh
 // environment per cell, same machine, same seed, only WithResultCache
 // varies.
@@ -105,14 +84,10 @@ func runCacheCell(cached bool, seed int64) (*CacheRow, error) {
 	}
 	eng := sim.NewEngine()
 	defer eng.Close()
-	m := cluster.New(eng, cacheSpec())
-	batch := hpc.NewBatch(m, hpc.Config{
-		SchedCycle:      10 * time.Second,
-		Prolog:          2 * time.Second,
-		MinQueueWait:    time.Second,
-		DefaultWallTime: 4 * time.Hour,
-		Seed:            seed,
-	})
+	// Two nodes, so the 2-core jobs run eight wide and redundant
+	// executions cost visible makespan.
+	m := cluster.New(eng, testbed("cache", 2))
+	batch := hpc.NewBatch(m, testbedBatch(seed))
 	// The cell always runs with a flight recorder: the bind-invariant
 	// check below audits its stream — in the cached cell it proves the
 	// coalesced and hit submissions completed without ever binding.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/pilot"
 )
 
@@ -64,27 +63,6 @@ type DAGRow struct {
 	Makespan time.Duration
 }
 
-// dagSpec is the comparison machine: two 8-core nodes, so the graph's
-// 2-core units run at most eight wide and the bind order decides what
-// the first waves carry.
-func dagSpec() cluster.MachineSpec {
-	return cluster.MachineSpec{
-		Name:  "dag",
-		Nodes: 2,
-		Node: cluster.NodeSpec{
-			Cores: 8, MemoryMB: 32 * 1024, DiskBW: 400e6,
-			DiskOpLatency: time.Millisecond, NICBW: 1e9,
-		},
-		FabricBW: 10e9,
-		Lustre: storage.LustreSpec{
-			AggregateBW: 1e9, MDSServers: 2,
-			MDSServiceTime: 2 * time.Millisecond, ClientLatency: 3 * time.Millisecond,
-		},
-		CPUFactor:  1,
-		ExternalBW: 500e6,
-	}
-}
-
 // RunDAGComparison runs the same skewed DAG under critical-path and
 // FIFO ordering: fresh environment per cell, same machine, same seed,
 // only the ordering varies.
@@ -104,14 +82,10 @@ func RunDAGComparison(seed int64) ([]*DAGRow, error) {
 func runDAGCell(ord pilot.GraphOrdering, seed int64) (*DAGRow, error) {
 	eng := sim.NewEngine()
 	defer eng.Close()
-	m := cluster.New(eng, dagSpec())
-	batch := hpc.NewBatch(m, hpc.Config{
-		SchedCycle:      10 * time.Second,
-		Prolog:          2 * time.Second,
-		MinQueueWait:    time.Second,
-		DefaultWallTime: 4 * time.Hour,
-		Seed:            seed,
-	})
+	// Two nodes, so the graph's 2-core units run at most eight wide and
+	// the bind order decides what the first waves carry.
+	m := cluster.New(eng, testbed("dag", 2))
+	batch := hpc.NewBatch(m, testbedBatch(seed))
 	// The cell always runs with a flight recorder: its event stream is
 	// what the bind-invariant check below audits, tap or no tap.
 	rec := pilot.NewRecorder(eng)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/pilot"
 )
 
@@ -48,26 +47,14 @@ type DataElasticRow struct {
 	LocalInputs, RemoteInputs int
 }
 
-// dataElasticSpec is the comparison machine: twelve 8-core nodes, so
-// two 2-node pilots leave an eight-node free pool too small for both
-// autoscalers to max out — the contention the policies resolve
+// dataElasticSpec is the elastic comparison machine: twelve 8-core
+// nodes, so two 2-node pilots leave an eight-node free pool too small
+// for both autoscalers to max out — the contention the policies resolve
 // differently.
 func dataElasticSpec() cluster.MachineSpec {
-	return cluster.MachineSpec{
-		Name:  "dataelastic",
-		Nodes: 12,
-		Node: cluster.NodeSpec{
-			Cores: 8, MemoryMB: 32 * 1024, DiskBW: 200e6,
-			DiskOpLatency: time.Millisecond, NICBW: 1e9,
-		},
-		FabricBW: 10e9,
-		Lustre: storage.LustreSpec{
-			AggregateBW: 2e9, MDSServers: 4,
-			MDSServiceTime: 2 * time.Millisecond, ClientLatency: 3 * time.Millisecond,
-		},
-		CPUFactor:  1,
-		ExternalBW: 250e6,
-	}
+	spec := elasticSpec()
+	spec.Name = "dataelastic"
+	return spec
 }
 
 const (
@@ -115,13 +102,7 @@ func runDataElasticCell(policy string, seed int64) (*DataElasticRow, error) {
 	eng := sim.NewEngine()
 	defer eng.Close()
 	m := cluster.New(eng, dataElasticSpec())
-	batch := hpc.NewBatch(m, hpc.Config{
-		SchedCycle:      10 * time.Second,
-		Prolog:          2 * time.Second,
-		MinQueueWait:    time.Second,
-		DefaultWallTime: 4 * time.Hour,
-		Seed:            seed,
-	})
+	batch := hpc.NewBatch(m, testbedBatch(seed))
 	session := pilot.NewSession(eng, pilot.WithProfile(schedProfile()), pilot.WithSeed(seed))
 	rec := tapRecorder(eng, session)
 	res := &pilot.Resource{Name: "dataelastic", URL: "slurm://dataelastic", Machine: m, Batch: batch}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/pilot"
 )
 
@@ -44,21 +43,11 @@ type ElasticRow struct {
 // elasticSpec is the comparison machine: twelve 8-core nodes, so a
 // 2-node pilot has headroom to grow into.
 func elasticSpec() cluster.MachineSpec {
-	return cluster.MachineSpec{
-		Name:  "elastic",
-		Nodes: 12,
-		Node: cluster.NodeSpec{
-			Cores: 8, MemoryMB: 32 * 1024, DiskBW: 200e6,
-			DiskOpLatency: time.Millisecond, NICBW: 1e9,
-		},
-		FabricBW: 10e9,
-		Lustre: storage.LustreSpec{
-			AggregateBW: 2e9, MDSServers: 4,
-			MDSServiceTime: 2 * time.Millisecond, ClientLatency: 3 * time.Millisecond,
-		},
-		CPUFactor:  1,
-		ExternalBW: 250e6,
-	}
+	spec := testbed("elastic", 12)
+	spec.Node.DiskBW = 200e6
+	spec.Lustre.AggregateBW, spec.Lustre.MDSServers = 2e9, 4
+	spec.ExternalBW = 250e6
+	return spec
 }
 
 const (
@@ -115,13 +104,7 @@ func runElasticCell(name string, policy pilot.AutoscalePolicy, seed int64) (*Ela
 	eng := sim.NewEngine()
 	defer eng.Close()
 	m := cluster.New(eng, elasticSpec())
-	batch := hpc.NewBatch(m, hpc.Config{
-		SchedCycle:      10 * time.Second,
-		Prolog:          2 * time.Second,
-		MinQueueWait:    time.Second,
-		DefaultWallTime: 4 * time.Hour,
-		Seed:            seed,
-	})
+	batch := hpc.NewBatch(m, testbedBatch(seed))
 	session := pilot.NewSession(eng, pilot.WithProfile(schedProfile()), pilot.WithSeed(seed))
 	rec := tapRecorder(eng, session)
 	res := &pilot.Resource{Name: "elastic", URL: "slurm://elastic", Machine: m, Batch: batch}

@@ -9,11 +9,13 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/hdfs"
 	"repro/internal/hpc"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/yarn"
 	"repro/pilot"
 )
@@ -34,6 +36,41 @@ type Env struct {
 	// Label tags this environment's stream in tap exports; NewEnv sets
 	// it to the machine name and callers may override before Close.
 	Label string
+}
+
+// testbed is the synthetic machine the comparison experiments run on:
+// 8-core 32 GB nodes with 400 MB/s local disks, a 1 GB/s Lustre with two
+// metadata servers and a 500 MB/s external link. Each experiment
+// overrides only the fields its comparison varies.
+func testbed(name string, nodes int) cluster.MachineSpec {
+	return cluster.MachineSpec{
+		Name:  name,
+		Nodes: nodes,
+		Node: cluster.NodeSpec{
+			Cores: 8, MemoryMB: 32 * 1024, DiskBW: 400e6,
+			DiskOpLatency: time.Millisecond, NICBW: 1e9,
+		},
+		FabricBW: 10e9,
+		Lustre: storage.LustreSpec{
+			AggregateBW: 1e9, MDSServers: 2,
+			MDSServiceTime: 2 * time.Millisecond, ClientLatency: 3 * time.Millisecond,
+		},
+		CPUFactor:  1,
+		ExternalBW: 500e6,
+	}
+}
+
+// testbedBatch is the batch system of every testbed: a 10 s scheduling
+// cycle, a 2 s prolog, a 1 s queue-wait floor and a 4 h default wall
+// time.
+func testbedBatch(seed int64) hpc.Config {
+	return hpc.Config{
+		SchedCycle:      10 * time.Second,
+		Prolog:          2 * time.Second,
+		MinQueueWait:    time.Second,
+		DefaultWallTime: 4 * time.Hour,
+		Seed:            seed,
+	}
 }
 
 // MachineName selects a machine profile.

@@ -11,7 +11,6 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/pilot"
 )
 
@@ -77,25 +76,6 @@ func scalePilots(n int) int {
 	return p
 }
 
-// scaleSpec is the sweep machine: two 8-core nodes per pilot.
-func scaleSpec(pilots int) cluster.MachineSpec {
-	return cluster.MachineSpec{
-		Name:  "scale",
-		Nodes: 2 * pilots,
-		Node: cluster.NodeSpec{
-			Cores: 8, MemoryMB: 32 * 1024, DiskBW: 400e6,
-			DiskOpLatency: time.Millisecond, NICBW: 1e9,
-		},
-		FabricBW: 10e9,
-		Lustre: storage.LustreSpec{
-			AggregateBW: 1e9, MDSServers: 2,
-			MDSServiceTime: 2 * time.Millisecond, ClientLatency: 3 * time.Millisecond,
-		},
-		CPUFactor:  1,
-		ExternalBW: 500e6,
-	}
-}
-
 // RunScaleSweep runs the workload at each scale and returns one row per
 // scale. Virtual-time results are deterministic per seed; Wall and
 // UnitsPerSec are host measurements.
@@ -119,14 +99,10 @@ func runScaleCell(seed int64, n int) (*ScaleRow, error) {
 	pilots := scalePilots(n)
 	eng := sim.NewEngine()
 	defer eng.Close()
-	m := cluster.New(eng, scaleSpec(pilots))
-	batch := hpc.NewBatch(m, hpc.Config{
-		SchedCycle:      10 * time.Second,
-		Prolog:          2 * time.Second,
-		MinQueueWait:    time.Second,
-		DefaultWallTime: 8 * time.Hour,
-		Seed:            seed,
-	})
+	m := cluster.New(eng, testbed("scale", 2*pilots)) // two nodes per pilot
+	bcfg := testbedBatch(seed)
+	bcfg.DefaultWallTime = 8 * time.Hour
+	batch := hpc.NewBatch(m, bcfg)
 	// The cell always records: the telemetry plane is the measurement
 	// instrument here, not an optional observer. A private registry
 	// keeps this scale's numbers separate; tapMetrics additionally

@@ -10,7 +10,6 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/yarn"
 	"repro/pilot"
 )
@@ -47,21 +46,11 @@ type SchedRow struct {
 // external uplink, so remote data fetches are painful and per-pilot core
 // capacity is small enough for placement to matter.
 func schedSpec() cluster.MachineSpec {
-	return cluster.MachineSpec{
-		Name:  "hetero",
-		Nodes: 5,
-		Node: cluster.NodeSpec{
-			Cores: 8, MemoryMB: 32 * 1024, DiskBW: 200e6,
-			DiskOpLatency: time.Millisecond, NICBW: 1e9,
-		},
-		FabricBW: 10e9,
-		Lustre: storage.LustreSpec{
-			AggregateBW: 2e9, MDSServers: 4,
-			MDSServiceTime: 2 * time.Millisecond, ClientLatency: 3 * time.Millisecond,
-		},
-		CPUFactor:  1,
-		ExternalBW: 40e6, // slow campus uplink
-	}
+	spec := testbed("hetero", 5)
+	spec.Node.DiskBW = 200e6
+	spec.Lustre.AggregateBW, spec.Lustre.MDSServers = 2e9, 4
+	spec.ExternalBW = 40e6 // slow campus uplink
+	return spec
 }
 
 // schedProfile trims the generic agent bootstrap so runs stay quick, but
@@ -109,13 +98,7 @@ func runSchedCell(wl, policy string, seed int64) (*SchedRow, error) {
 	eng := sim.NewEngine()
 	defer eng.Close()
 	m := cluster.New(eng, schedSpec())
-	batch := hpc.NewBatch(m, hpc.Config{
-		SchedCycle:      10 * time.Second,
-		Prolog:          2 * time.Second,
-		MinQueueWait:    time.Second,
-		DefaultWallTime: 4 * time.Hour,
-		Seed:            seed,
-	})
+	batch := hpc.NewBatch(m, testbedBatch(seed))
 	fs, err := hdfs.New(eng, hdfs.DefaultConfig(), m.Nodes)
 	if err != nil {
 		return nil, err

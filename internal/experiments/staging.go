@@ -9,7 +9,6 @@ import (
 	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/pilot"
 )
 
@@ -68,21 +67,9 @@ const (
 // deliberately modest Lustre — the paper's motivation for putting data
 // next to compute.
 func stagingSpec() cluster.MachineSpec {
-	return cluster.MachineSpec{
-		Name:  "staging",
-		Nodes: 6,
-		Node: cluster.NodeSpec{
-			Cores: 8, MemoryMB: 32 * 1024, DiskBW: 400e6,
-			DiskOpLatency: time.Millisecond, NICBW: 1e9,
-		},
-		FabricBW: 10e9,
-		Lustre: storage.LustreSpec{
-			AggregateBW: 250e6, MDSServers: 2,
-			MDSServiceTime: 2 * time.Millisecond, ClientLatency: 3 * time.Millisecond,
-		},
-		CPUFactor:  1,
-		ExternalBW: 500e6,
-	}
+	spec := testbed("staging", 6)
+	spec.Lustre.AggregateBW = 250e6
+	return spec
 }
 
 // StagingBytesDistributed returns the total bytes the initial
@@ -111,13 +98,7 @@ func runStagingCell(mode string, seed int64) (*StagingRow, error) {
 	eng := sim.NewEngine()
 	defer eng.Close()
 	m := cluster.New(eng, stagingSpec())
-	batch := hpc.NewBatch(m, hpc.Config{
-		SchedCycle:      10 * time.Second,
-		Prolog:          2 * time.Second,
-		MinQueueWait:    time.Second,
-		DefaultWallTime: 4 * time.Hour,
-		Seed:            seed,
-	})
+	batch := hpc.NewBatch(m, testbedBatch(seed))
 	session := pilot.NewSession(eng, pilot.WithProfile(schedProfile()), pilot.WithSeed(seed))
 	rec := tapRecorder(eng, session)
 	res := &pilot.Resource{Name: "staging", URL: "slurm://staging", Machine: m, Batch: batch}

@@ -110,9 +110,6 @@ type Job struct {
 // State returns the current job state.
 func (j *Job) State() JobState { return j.state }
 
-// Allocation returns the job's allocation, or nil before it starts.
-func (j *Job) Allocation() *Allocation { return j.alloc }
-
 // QueueWait returns how long the job waited in the queue (only meaningful
 // once started).
 func (j *Job) QueueWait() sim.Duration { return j.StartTime - j.SubmitTime }

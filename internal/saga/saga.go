@@ -94,9 +94,6 @@ func (j *Job) Wait(p *sim.Proc) State {
 // Cancel terminates the job.
 func (j *Job) Cancel() { j.service.batch.Cancel(j.backend) }
 
-// Allocation exposes the backend allocation once running (nil before).
-func (j *Job) Allocation() *hpc.Allocation { return j.backend.Allocation() }
-
 // QueueWait reports the time spent queued.
 func (j *Job) QueueWait() sim.Duration { return j.backend.QueueWait() }
 

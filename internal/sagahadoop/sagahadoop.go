@@ -156,9 +156,6 @@ func Start(p *sim.Proc, js *saga.JobService, cfg Config) (*Handle, error) {
 // State returns the current lifecycle state (step 3: get status).
 func (h *Handle) State() State { return h.state }
 
-// Err returns the bootstrap failure cause, if any.
-func (h *Handle) Err() error { return h.err }
-
 // WaitRunning blocks until the cluster is up (or failed), returning the
 // environment.
 func (h *Handle) WaitRunning(p *sim.Proc) (*ClusterEnv, error) {

@@ -65,8 +65,8 @@ func NewEngine() *Engine {
 func (e *Engine) Now() time.Duration { return e.now }
 
 // SetTrace directs a human-readable event trace to w. Passing nil disables
-// tracing. Tracing is intended for debugging and the verbose modes of the
-// command-line tools.
+// tracing. The trace is intended for debugging and the verbose modes of
+// the command-line tools.
 func (e *Engine) SetTrace(w io.Writer) { e.trace = w }
 
 // SetTraceFunc installs a structured trace sink: fn receives every Tracef
@@ -75,15 +75,10 @@ func (e *Engine) SetTrace(w io.Writer) { e.trace = w }
 // events into its timeline. Passing nil uninstalls the sink.
 func (e *Engine) SetTraceFunc(fn func(at time.Duration, msg string)) { e.traceFn = fn }
 
-// Tracing reports whether SetTrace or SetTraceFunc installed a sink. Hot
-// call sites guard Tracef with it so that, with no sink, they do not
-// box the trace arguments at all.
-func (e *Engine) Tracing() bool { return e.trace != nil || e.traceFn != nil }
-
-// Tracef writes a trace line stamped with the current virtual time. It is
-// a no-op unless SetTrace or SetTraceFunc installed a sink.
+// Tracef writes a trace line stamped with the current virtual time. With
+// no SetTrace or SetTraceFunc sink installed it returns before formatting.
 func (e *Engine) Tracef(format string, args ...any) {
-	if !e.Tracing() {
+	if e.trace == nil && e.traceFn == nil {
 		return
 	}
 	msg := fmt.Sprintf(format, args...)

@@ -203,41 +203,6 @@ func TestYieldOrdering(t *testing.T) {
 	}
 }
 
-func TestGate(t *testing.T) {
-	e := NewEngine()
-	g := NewGate(e, false)
-	var passed []time.Duration
-	for i := 0; i < 2; i++ {
-		e.Spawn("w", func(p *Proc) {
-			g.Await(p)
-			passed = append(passed, p.Now())
-		})
-	}
-	e.At(time.Second, func() { g.Open() })
-	e.Run()
-	if len(passed) != 2 || passed[0] != time.Second || passed[1] != time.Second {
-		t.Fatalf("passed = %v, want [1s 1s]", passed)
-	}
-	g.Shut()
-	if g.IsOpen() {
-		t.Fatal("gate should be shut")
-	}
-	done := false
-	e.Spawn("w2", func(p *Proc) {
-		g.Await(p)
-		done = true
-	})
-	e.Run()
-	if done {
-		t.Fatal("waiter passed through a shut gate")
-	}
-	g.Open()
-	e.Run()
-	if !done {
-		t.Fatal("waiter not released on reopen")
-	}
-}
-
 func TestSpawnAfterDelaysStart(t *testing.T) {
 	e := NewEngine()
 	var started time.Duration = -1
@@ -265,7 +230,7 @@ func TestTraceOutput(t *testing.T) {
 	e.SetTrace(&sb)
 	e.Spawn("p", func(p *Proc) {
 		p.Sleep(time.Second)
-		p.Tracef("hello %d", 42)
+		e.Tracef("hello %d", 42)
 	})
 	e.Run()
 	if !strings.Contains(sb.String(), "hello 42") {
@@ -295,31 +260,10 @@ func TestTraceFunc(t *testing.T) {
 	// Uninstalling restores the no-op fast path.
 	e.SetTrace(nil)
 	e.SetTraceFunc(nil)
-	e.Spawn("q", func(p *Proc) { p.Tracef("dropped") })
+	e.Spawn("q", func(p *Proc) { e.Tracef("dropped") })
 	e.Run()
 	if calls != 1 {
 		t.Fatalf("uninstalled trace func still called: %d", calls)
-	}
-}
-
-func TestTracingReportsSink(t *testing.T) {
-	e := NewEngine()
-	if e.Tracing() {
-		t.Fatal("fresh engine reports a trace sink")
-	}
-	var sb strings.Builder
-	e.SetTrace(&sb)
-	if !e.Tracing() {
-		t.Fatal("writer sink installed, Tracing() false")
-	}
-	e.SetTrace(nil)
-	e.SetTraceFunc(func(time.Duration, string) {})
-	if !e.Tracing() {
-		t.Fatal("func sink installed, Tracing() false")
-	}
-	e.SetTraceFunc(nil)
-	if e.Tracing() {
-		t.Fatal("both sinks uninstalled, Tracing() still true")
 	}
 }
 
@@ -329,14 +273,5 @@ func TestSecondsAndTransferTime(t *testing.T) {
 	}
 	if got := Seconds(-1); got != 0 {
 		t.Fatalf("Seconds(-1) = %v, want 0", got)
-	}
-	if got := TransferTime(100, 50); got != 2*time.Second {
-		t.Fatalf("TransferTime = %v, want 2s", got)
-	}
-	if got := TransferTime(0, 50); got != 0 {
-		t.Fatalf("TransferTime zero bytes = %v, want 0", got)
-	}
-	if got := TransferTime(100, 0); got != 0 {
-		t.Fatalf("TransferTime zero rate = %v, want 0", got)
 	}
 }

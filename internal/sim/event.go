@@ -32,47 +32,3 @@ func (ev *Event) Trigger() {
 		ev.eng.schedule(ev.eng.now, w.p.daemon, w, wakeFired, nil)
 	}
 }
-
-// Gate is a reusable broadcast condition: processes wait for the gate to
-// open; while open, waits pass through immediately. Closing the gate makes
-// subsequent waits block again. It is useful for "cluster is up" /
-// "queue non-empty" style conditions that can flip repeatedly.
-type Gate struct {
-	eng  *Engine
-	open bool
-	ev   *Event
-}
-
-// NewGate returns a Gate in the given initial state.
-func NewGate(e *Engine, open bool) *Gate {
-	return &Gate{eng: e, open: open, ev: NewEvent(e)}
-}
-
-// IsOpen reports whether the gate currently lets waiters through.
-func (g *Gate) IsOpen() bool { return g.open }
-
-// Open releases all current waiters and lets future waiters pass.
-func (g *Gate) Open() {
-	if g.open {
-		return
-	}
-	g.open = true
-	g.ev.Trigger()
-}
-
-// Shut makes future waiters block. Processes already released keep
-// running.
-func (g *Gate) Shut() {
-	if !g.open {
-		return
-	}
-	g.open = false
-	g.ev = NewEvent(g.eng)
-}
-
-// Await blocks p until the gate is open.
-func (g *Gate) Await(p *Proc) {
-	for !g.open {
-		p.Wait(g.ev)
-	}
-}

@@ -11,7 +11,6 @@ import "fmt"
 // individual requests.
 type SharedLink struct {
 	eng  *Engine
-	name string
 	rate float64 // total bytes/second
 
 	flows      []*flow
@@ -37,14 +36,8 @@ func NewSharedLink(e *Engine, name string, bytesPerSec float64) *SharedLink {
 	if bytesPerSec <= 0 {
 		panic(fmt.Sprintf("sim: link %q bandwidth must be positive, got %g", name, bytesPerSec))
 	}
-	return &SharedLink{eng: e, name: name, rate: bytesPerSec}
+	return &SharedLink{eng: e, rate: bytesPerSec}
 }
-
-// Name returns the link name (for traces).
-func (l *SharedLink) Name() string { return l.name }
-
-// Rate returns the total bandwidth in bytes/second.
-func (l *SharedLink) Rate() float64 { return l.rate }
 
 // Active returns the number of in-flight transfers.
 func (l *SharedLink) Active() int { return len(l.flows) }

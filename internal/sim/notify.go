@@ -7,46 +7,37 @@ import (
 
 // Notifier is the state-event fabric beneath stateful entities (pilots,
 // Compute-Units, Data-Units): it fans each entered state out to
-// subscribed callbacks and wakes parked waiters whose condition the new
-// state satisfies. Wait/WaitState-style blocking APIs and reactive
+// subscribed callbacks and wakes parked waiters whose threshold the new
+// state reaches. Wait/WaitState-style blocking APIs and reactive
 // OnStateChange callbacks are both built on it; states skipped on
 // failure paths are never reported to subscribers, but a failure's final
-// state does wake waiters parked on the skipped states (their conditions
-// treat final states as release).
+// state does wake waiters parked on the skipped states (state enums
+// order lifecycle states before final ones, so a final state reaches
+// every lifecycle threshold).
 //
-// Waiters come in two classes. Threshold waiters (AwaitMin) park on
-// "state reached at least X" and are indexed in a min-heap keyed by
-// threshold, so an entered state releases exactly the satisfied ones in
-// O(k log n) — entering a state never scans waiters it cannot release.
-// Predicate waiters (Await) carry an arbitrary condition and are scanned
-// per entered state; every lifecycle wait in this codebase is
-// threshold-shaped (state enums order lifecycle states before final
-// ones), so the scan list stays empty on the hot paths.
+// There is one waiter class: AwaitMin parks on "state reached at least
+// X". Waiters are indexed in a min-heap keyed by threshold, so an
+// entered state releases exactly the satisfied ones in O(k log n) —
+// entering a state never scans waiters it cannot release.
 type Notifier[S cmp.Ordered] struct {
 	eng *Engine
 	cbs []func(S)
-	// seq orders waiter registration across both classes, so releases
-	// fire in registration order exactly as a single scanned list would.
+	// seq orders waiter registration, so releases fire in registration
+	// order however their thresholds differ.
 	seq uint64
 	// th is the threshold min-heap, ordered by (min, seq).
 	th []*stateWaiter[S]
-	// conds holds predicate waiters, scanned per entered state.
-	conds []*stateWaiter[S]
 	// waking guards against re-entrant wakes: a state entered while a
 	// wake is mid-flight queues behind it instead of interleaving with
-	// the in-progress release scan.
+	// the in-progress release.
 	waking       bool
 	pendingWakes []S
 }
 
 type stateWaiter[S cmp.Ordered] struct {
-	// min is the release threshold for AwaitMin waiters; cond the
-	// predicate for Await waiters (nil on threshold waiters).
-	min   S
-	cond  func(S) bool
-	seq   uint64
-	ev    *Event
-	fired bool
+	min S // release threshold
+	seq uint64
+	ev  *Event
 }
 
 // NewNotifier creates a notifier on the engine.
@@ -70,12 +61,11 @@ func (n *Notifier[S]) Entered(st S) {
 	n.wake(st)
 }
 
-// wake releases every waiter whose condition holds for st. Nested wakes
-// (a predicate or trigger side effect entering another state) queue
-// behind the in-flight one, so the waiter structures are never mutated
-// mid-scan.
+// wake releases every waiter whose threshold st reaches. Nested wakes (a
+// trigger side effect entering another state) queue behind the in-flight
+// one, so the heap is never mutated mid-release.
 func (n *Notifier[S]) wake(st S) {
-	if len(n.th) == 0 && len(n.conds) == 0 && len(n.pendingWakes) == 0 {
+	if len(n.th) == 0 && len(n.pendingWakes) == 0 {
 		return
 	}
 	n.pendingWakes = append(n.pendingWakes, st)
@@ -96,30 +86,10 @@ func (n *Notifier[S]) wake(st S) {
 func (n *Notifier[S]) wakeOne(st S) {
 	var fired []*stateWaiter[S]
 	for len(n.th) > 0 && n.th[0].min <= st {
-		w := n.thPop()
-		w.fired = true
-		fired = append(fired, w)
+		fired = append(fired, n.thPop())
 	}
-	if len(n.conds) > 0 {
-		kept := make([]*stateWaiter[S], 0, len(n.conds))
-		for _, w := range n.conds {
-			switch {
-			case w.fired:
-			case w.cond(st):
-				w.fired = true
-				fired = append(fired, w)
-			default:
-				kept = append(kept, w)
-			}
-		}
-		n.conds = kept
-	}
-	if len(fired) == 0 {
-		return
-	}
-	// Threshold pops arrive ordered by (min, seq); merge both classes
-	// back into pure registration order before triggering, so wake order
-	// is exactly what a single scanned list produced.
+	// Pops arrive ordered by (min, seq); restore registration order
+	// before triggering.
 	if len(fired) > 1 {
 		sort.Slice(fired, func(i, j int) bool { return fired[i].seq < fired[j].seq })
 	}
@@ -128,26 +98,10 @@ func (n *Notifier[S]) wakeOne(st S) {
 	}
 }
 
-// Await parks p until an entered state satisfies cond; it returns
-// immediately if the current state cur already does. The condition must
-// be a pure predicate over the state: it runs inside the wake scan and
-// must not re-enter the notifier. Prefer AwaitMin for the common
-// "reached at least" shape — predicate waiters cost a scan per entered
-// state, threshold waiters do not.
-func (n *Notifier[S]) Await(p *Proc, cur S, cond func(S) bool) {
-	if cond(cur) {
-		return
-	}
-	n.seq++
-	w := &stateWaiter[S]{cond: cond, seq: n.seq, ev: NewEvent(n.eng)}
-	n.conds = append(n.conds, w)
-	p.Wait(w.ev)
-}
-
 // AwaitMin parks p until a state >= min is entered; it returns
-// immediately if the current state cur already is. This is the indexed
-// fast path: state enums order lifecycle states below final ones, so
-// "reached X or ended" waits reduce to a threshold.
+// immediately if the current state cur already is. State enums order
+// lifecycle states below final ones, so "reached X or ended" waits
+// reduce to a threshold.
 func (n *Notifier[S]) AwaitMin(p *Proc, cur S, min S) {
 	if cur >= min {
 		return

@@ -35,16 +35,15 @@ func TestNotifierAwaitMinThreshold(t *testing.T) {
 }
 
 // TestNotifierWakeOrdering: waiters released by the same entered state
-// wake in registration order, no matter how threshold (AwaitMin) and
-// predicate (Await) waiters interleave — the heap must not reorder them.
+// wake in registration order, no matter how their thresholds interleave —
+// the heap must not reorder them.
 func TestNotifierWakeOrdering(t *testing.T) {
 	e := NewEngine()
 	n := NewNotifier[int](e)
 	var order []int
-	// Registration order 0..5 alternates high-threshold, low-threshold,
-	// and predicate waiters; a (min, seq) heap pops the low thresholds
-	// first, so a notifier that triggered in pop order would wake
-	// [1 3 0 2 4 5].
+	// Registration order 0..5 alternates high and low thresholds; a
+	// (min, seq) heap pops the low thresholds first, so a notifier that
+	// triggered in pop order would wake [1 3 4 5 0 2].
 	spawn := func(i int, wait func(p *Proc)) {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
 			wait(p)
@@ -55,7 +54,7 @@ func TestNotifierWakeOrdering(t *testing.T) {
 	spawn(1, func(p *Proc) { n.AwaitMin(p, 0, 2) })
 	spawn(2, func(p *Proc) { n.AwaitMin(p, 0, 9) })
 	spawn(3, func(p *Proc) { n.AwaitMin(p, 0, 3) })
-	spawn(4, func(p *Proc) { n.Await(p, 0, func(s int) bool { return s >= 5 }) })
+	spawn(4, func(p *Proc) { n.AwaitMin(p, 0, 5) })
 	spawn(5, func(p *Proc) { n.AwaitMin(p, 0, 5) })
 	e.At(time.Second, func() { n.Entered(9) })
 	e.Run()
@@ -81,7 +80,7 @@ func TestNotifierReentrantEntered(t *testing.T) {
 		order = append(order, "w3")
 	})
 	e.Spawn("w4", func(p *Proc) {
-		n.Await(p, 0, func(s int) bool { return s >= 4 })
+		n.AwaitMin(p, 0, 4)
 		order = append(order, "w4")
 	})
 	entered := []int{}

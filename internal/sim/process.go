@@ -143,14 +143,6 @@ func (p *Proc) Name() string {
 // Now reports the current virtual time.
 func (p *Proc) Now() time.Duration { return p.eng.now }
 
-// Tracef writes to the engine trace, prefixed with the process name.
-func (p *Proc) Tracef(format string, args ...any) {
-	if !p.eng.Tracing() {
-		return
-	}
-	p.eng.Tracef("%-24s %s", p.Name(), fmt.Sprintf(format, args...))
-}
-
 // Spawn starts fn as a new process at the current virtual time. The
 // process begins executing when the engine reaches the spawn event, not
 // synchronously. Spawn may be called before Run or from any process or

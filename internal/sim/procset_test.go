@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -49,13 +48,12 @@ func (n *countingName) String() string {
 }
 
 // TestSpawnNamedBuildsNameOnRead: a SpawnNamed process name is built
-// only when something reads it — Name, a trace line, the kill error.
+// only when something reads it — Name or the kill error.
 func TestSpawnNamedBuildsNameOnRead(t *testing.T) {
 	e := NewEngine()
 	name := &countingName{}
 	var proc *Proc
 	proc = e.SpawnNamed(name, func(p *Proc) {
-		p.Tracef("untraced")
 		p.Sleep(time.Second)
 	})
 	e.Run()
@@ -67,13 +65,5 @@ func TestSpawnNamedBuildsNameOnRead(t *testing.T) {
 	}
 	if got := (stoppedError{proc}).Error(); got != "sim: process stopped: lazy:7" {
 		t.Fatalf("stop error = %q", got)
-	}
-
-	var sb strings.Builder
-	e.SetTrace(&sb)
-	e.SpawnNamed(name, func(p *Proc) { p.Tracef("hello") })
-	e.Run()
-	if !strings.Contains(sb.String(), "lazy:7                   hello") {
-		t.Fatalf("trace line lacks the padded process name: %q", sb.String())
 	}
 }

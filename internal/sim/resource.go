@@ -41,18 +41,6 @@ func (r *Resource) Available() int { return r.capacity - r.inUse }
 // Queued returns the number of blocked acquisitions.
 func (r *Resource) Queued() int { return len(r.queue) }
 
-// TryAcquire acquires n units if they are available right now, reporting
-// whether it succeeded. It never blocks and never overtakes queued
-// waiters.
-func (r *Resource) TryAcquire(n int) bool {
-	r.check(n)
-	if len(r.queue) > 0 || r.inUse+n > r.capacity {
-		return false
-	}
-	r.inUse += n
-	return true
-}
-
 // Acquire blocks p until n units are available and takes them. If the
 // wait is interrupted (Proc.Interrupt) or the engine shuts down, the
 // pending request is withdrawn — or, if it had already been granted, the

@@ -12,15 +12,26 @@ func TestResourceBasics(t *testing.T) {
 	if r.Capacity() != 4 || r.Available() != 4 || r.InUse() != 0 {
 		t.Fatal("bad initial state")
 	}
-	if !r.TryAcquire(3) {
-		t.Fatal("TryAcquire(3) failed on empty resource")
+	var queued int
+	e.Spawn("holder", func(p *Proc) {
+		r.Acquire(p, 3)
+		if r.Available() != 1 || r.InUse() != 3 {
+			t.Errorf("after Acquire(3): available %d, in use %d", r.Available(), r.InUse())
+		}
+		p.Sleep(time.Second)
+		queued = r.Queued()
+		r.Release(3)
+	})
+	e.Spawn("blocked", func(p *Proc) {
+		r.Acquire(p, 2) // only 1 available: waits for the holder
+		r.Release(2)
+	})
+	e.Run()
+	if queued != 1 {
+		t.Fatalf("queued = %d while the holder held 3 of 4, want 1", queued)
 	}
-	if r.TryAcquire(2) {
-		t.Fatal("TryAcquire(2) succeeded with only 1 available")
-	}
-	r.Release(3)
-	if r.InUse() != 0 {
-		t.Fatalf("in use = %d after release", r.InUse())
+	if r.InUse() != 0 || r.Available() != 4 {
+		t.Fatalf("in use = %d, available = %d after release", r.InUse(), r.Available())
 	}
 }
 
@@ -75,32 +86,12 @@ func TestResourceFIFONoOvertaking(t *testing.T) {
 	}
 }
 
-func TestTryAcquireRespectsQueue(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 4)
-	e.Spawn("p", func(p *Proc) {
-		r.Acquire(p, 3)
-		// A queued waiter exists once "q" runs; TryAcquire for 1 must
-		// fail even though 1 unit is free, to preserve FIFO.
-		p.Sleep(2 * time.Second)
-		if r.TryAcquire(1) {
-			t.Error("TryAcquire overtook a queued waiter")
-		}
-		r.Release(3)
-	})
-	e.Spawn("q", func(p *Proc) {
-		p.Sleep(time.Second)
-		r.Acquire(p, 4)
-		r.Release(4)
-	})
-	e.Run()
-}
-
 func TestResourceMisusePanics(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 2)
-	assertPanics(t, "zero acquire", func() { r.TryAcquire(0) })
-	assertPanics(t, "over-capacity", func() { r.TryAcquire(3) })
+	// Acquire validates the amount before it touches the process.
+	assertPanics(t, "zero acquire", func() { r.Acquire(nil, 0) })
+	assertPanics(t, "over-capacity", func() { r.Acquire(nil, 3) })
 	assertPanics(t, "release unheld", func() { r.Release(1) })
 	assertPanics(t, "zero capacity", func() { NewResource(e, 0) })
 }

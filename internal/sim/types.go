@@ -19,12 +19,3 @@ func Seconds(s float64) Duration {
 	}
 	return Duration(s * 1e9)
 }
-
-// TransferTime returns how long moving bytes at rate bytes/second takes
-// with no contention.
-func TransferTime(bytes int64, bytesPerSec float64) Duration {
-	if bytes <= 0 || bytesPerSec <= 0 {
-		return 0
-	}
-	return Seconds(float64(bytes) / bytesPerSec)
-}

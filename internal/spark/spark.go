@@ -2,9 +2,8 @@
 // the paper chose for RADICAL-Pilot's Spark integration ("we decided to
 // support Spark via the standalone deployment mode"): a Master process,
 // one Worker per node, and per-application executors holding core slots.
-// The rdd.go file adds a small typed RDD layer with narrow/wide
-// transformations and stage-based execution on top, used by the analytics
-// examples.
+// RADICAL-Pilot's Spark backend runs each Compute-Unit as one task on
+// those slots.
 package spark
 
 import (
@@ -77,9 +76,6 @@ func NewCluster(e *sim.Engine, cfg Config, nodes []*cluster.Node) (*Cluster, err
 // Stop marks the cluster stopped (sbin/stop-all.sh): new applications are
 // rejected; running ones finish.
 func (c *Cluster) Stop() { c.stopped = true }
-
-// Nodes returns the worker nodes.
-func (c *Cluster) Nodes() []*cluster.Node { return c.nodes }
 
 // TotalCores returns the cluster-wide core count.
 func (c *Cluster) TotalCores() int {

@@ -116,118 +116,3 @@ func TestTaskValidation(t *testing.T) {
 		t.Error("empty node list accepted")
 	}
 }
-
-func TestRDDMapFilterCollect(t *testing.T) {
-	e := sim.NewEngine()
-	cl := testCluster(t, e, 2)
-	var got []int
-	e.Spawn("driver", func(p *sim.Proc) {
-		app, _ := cl.StartApp(p, "rdd")
-		ctx := NewContext(app, DefaultRDDConf())
-		data := make([]int, 100)
-		for i := range data {
-			data[i] = i
-		}
-		rdd, err := Parallelize(ctx, data, 8)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		squares := Map(rdd, func(x int) int { return x * x })
-		even := Filter(squares, func(x int) bool { return x%2 == 0 })
-		got, err = Collect(p, even)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	e.Run()
-	e.Close()
-	if len(got) != 50 {
-		t.Fatalf("collected %d elements, want 50", len(got))
-	}
-	for _, v := range got {
-		if v%2 != 0 {
-			t.Fatalf("odd element %d survived filter", v)
-		}
-	}
-}
-
-func TestRDDReduceByKeyWordcount(t *testing.T) {
-	e := sim.NewEngine()
-	cl := testCluster(t, e, 2)
-	var counts map[string]int
-	e.Spawn("driver", func(p *sim.Proc) {
-		app, _ := cl.StartApp(p, "wc")
-		ctx := NewContext(app, DefaultRDDConf())
-		words := []string{"hadoop", "hpc", "pilot", "hadoop", "yarn", "hpc", "hadoop"}
-		rdd, _ := Parallelize(ctx, words, 3)
-		pairs := Map(rdd, func(w string) KV[string, int] { return KV[string, int]{Key: w, Val: 1} })
-		reduced := ReduceByKey(pairs, func(a, b int) int { return a + b })
-		out, err := Collect(p, reduced)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		counts = make(map[string]int)
-		for _, kv := range out {
-			counts[kv.Key] += kv.Val
-		}
-	})
-	e.Run()
-	e.Close()
-	want := map[string]int{"hadoop": 3, "hpc": 2, "pilot": 1, "yarn": 1}
-	for k, v := range want {
-		if counts[k] != v {
-			t.Fatalf("count[%s] = %d, want %d (all: %v)", k, counts[k], v, counts)
-		}
-	}
-	if len(counts) != len(want) {
-		t.Fatalf("extra keys: %v", counts)
-	}
-}
-
-func TestRDDCountAndPartitions(t *testing.T) {
-	e := sim.NewEngine()
-	cl := testCluster(t, e, 1)
-	e.Spawn("driver", func(p *sim.Proc) {
-		app, _ := cl.StartApp(p, "count")
-		ctx := NewContext(app, DefaultRDDConf())
-		rdd, _ := Parallelize(ctx, make([]float64, 1000), 16)
-		if rdd.Partitions() != 16 {
-			t.Errorf("partitions = %d", rdd.Partitions())
-		}
-		n, err := Count(p, rdd)
-		if err != nil {
-			t.Error(err)
-		}
-		if n != 1000 {
-			t.Errorf("count = %d, want 1000", n)
-		}
-		if _, err := Parallelize(ctx, []int{1}, 0); err == nil {
-			t.Error("zero partitions accepted")
-		}
-	})
-	e.Run()
-	e.Close()
-}
-
-func TestRDDComputeTakesSimTime(t *testing.T) {
-	e := sim.NewEngine()
-	cl := testCluster(t, e, 1)
-	var elapsed time.Duration
-	e.Spawn("driver", func(p *sim.Proc) {
-		app, _ := cl.StartApp(p, "cost")
-		conf := RDDConf{SecondsPerElement: 0.01, BytesPerElement: 8}
-		ctx := NewContext(app, conf)
-		rdd, _ := Parallelize(ctx, make([]int, 400), 4) // 100 elems/part, 1s each
-		t0 := p.Now()
-		Count(p, rdd)
-		elapsed = p.Now() - t0
-	})
-	e.Run()
-	e.Close()
-	// 4 partitions × 1s compute on 4 cores → ~1s plus launch overheads.
-	if elapsed < time.Second || elapsed > 3*time.Second {
-		t.Fatalf("elapsed = %v, want ~1s", elapsed)
-	}
-}

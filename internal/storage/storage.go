@@ -66,9 +66,6 @@ func NewLocalDisk(e *sim.Engine, name string, bytesPerSec float64, opLat sim.Dur
 
 func (d *LocalDisk) Name() string { return d.name }
 
-// Bandwidth returns the disk's total bandwidth in bytes/second.
-func (d *LocalDisk) Bandwidth() float64 { return d.link.Rate() }
-
 func (d *LocalDisk) Touch(p *sim.Proc) {
 	d.stats.Ops++
 	p.Sleep(d.opLat)
@@ -186,13 +183,6 @@ func NewLustre(e *sim.Engine, name string, spec LustreSpec) *Lustre {
 }
 
 func (l *Lustre) Name() string { return l.name }
-
-// Spec returns the filesystem parameters.
-func (l *Lustre) Spec() LustreSpec { return l.spec }
-
-// QueuedOps reports metadata operations waiting for an MDS server,
-// a direct measure of metadata contention.
-func (l *Lustre) QueuedOps() int { return l.mds.Queued() }
 
 func (l *Lustre) Touch(p *sim.Proc) {
 	l.stats.Ops++

@@ -21,9 +21,6 @@ type AppMaster struct {
 	unregistered bool
 }
 
-// App returns the application this AM serves.
-func (am *AppMaster) App() *Application { return am.app }
-
 // Register announces the AM to the RM (one RPC). Must be called before
 // requesting containers. An application that was killed meanwhile stays
 // KILLED.
@@ -108,16 +105,6 @@ func (am *AppMaster) ReleaseContainer(p *sim.Proc, c *Container) error {
 		return fmt.Errorf("yarn: container %d is %v, cannot release", c.ID, c.state)
 	}
 	p.Sleep(am.rm.cfg.RPCLatency)
-	c.terminal(ContainerKilled, ExitKilled)
-	return nil
-}
-
-// KillContainer stops a running container (stopContainer RPC).
-func (am *AppMaster) KillContainer(p *sim.Proc, c *Container) error {
-	p.Sleep(am.rm.cfg.RPCLatency)
-	if c.proc != nil && (c.state == ContainerRunning || c.state == ContainerLocalizing) {
-		c.proc.Interrupt(fmt.Errorf("yarn: container %d killed by AM", c.ID))
-	}
 	c.terminal(ContainerKilled, ExitKilled)
 	return nil
 }

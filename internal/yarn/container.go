@@ -80,9 +80,6 @@ func (n *containerName) String() string { return fmt.Sprintf("yarn:c%d:%s", n.ID
 // NodeManager returns the NM hosting this container.
 func (c *Container) NodeManager() *NodeManager { return c.nm }
 
-// State returns the container state.
-func (c *Container) State() ContainerState { return c.state }
-
 // terminal moves the container to a terminal state, releasing resources
 // exactly once. Kernel or process context.
 func (c *Container) terminal(state ContainerState, exit int) {
@@ -95,6 +92,6 @@ func (c *Container) terminal(state ContainerState, exit int) {
 	delete(c.nm.containers, c.ID)
 	c.nm.containerGone()
 	c.nm.release(c.Spec)
-	c.nm.rm.containerFinished(c)
+	delete(c.App.live, c.ID)
 	c.Done.Trigger()
 }

@@ -61,9 +61,6 @@ func (nm *NodeManager) Free() ResourceSpec { return nm.free }
 // Containers returns the number of live containers.
 func (nm *NodeManager) Containers() int { return len(nm.containers) }
 
-// Decommissioning reports whether the NM is draining for removal.
-func (nm *NodeManager) Decommissioning() bool { return nm.decommissioning }
-
 // heartbeatLoop runs as a daemon: on every beat it offers the node to
 // the RM scheduler and launches whatever was assigned.
 func (nm *NodeManager) heartbeatLoop(p *sim.Proc) {

@@ -50,7 +50,6 @@ const (
 	StatusSucceeded FinalStatus = "SUCCEEDED"
 	StatusFailed    FinalStatus = "FAILED"
 	StatusKilled    FinalStatus = "KILLED"
-	StatusUndefined FinalStatus = "UNDEFINED"
 )
 
 // AMRunner is the ApplicationMaster's main, running inside the AM
@@ -59,8 +58,7 @@ type AMRunner func(p *sim.Proc, am *AppMaster)
 
 // AppDesc describes an application submission.
 type AppDesc struct {
-	Name  string
-	Queue string
+	Name string
 	// AMResource sizes the ApplicationMaster container (defaults to
 	// 1024 MB / 1 vcore, YARN's default).
 	AMResource ResourceSpec
@@ -69,9 +67,8 @@ type AppDesc struct {
 
 // Application is a submitted YARN application.
 type Application struct {
-	ID    int
-	Name  string
-	Queue string
+	ID   int
+	Name string
 
 	rm     *ResourceManager
 	runner AMRunner
@@ -129,9 +126,6 @@ func (a *Application) transition(state AppState) {
 	a.state = state
 }
 
-// FinalStatus returns the AM-reported final status (valid once Done).
-func (a *Application) FinalStatus() FinalStatus { return a.finalStatus }
-
 // Wait blocks p until the application terminates and returns the final
 // status.
 func (a *Application) Wait(p *sim.Proc) FinalStatus {
@@ -161,7 +155,7 @@ type ClusterMetrics struct {
 type ResourceManager struct {
 	eng   *sim.Engine
 	cfg   Config
-	sched Scheduler
+	sched *FIFOScheduler
 	rng   *rand.Rand
 
 	nms []*NodeManager
@@ -182,14 +176,10 @@ func NewResourceManager(e *sim.Engine, cfg Config, nodes []*cluster.Node) (*Reso
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("yarn: need at least one node")
 	}
-	sched := cfg.Scheduler
-	if sched == nil {
-		sched = NewFIFOScheduler()
-	}
 	rm := &ResourceManager{
 		eng:   e,
 		cfg:   cfg,
-		sched: sched,
+		sched: NewFIFOScheduler(),
 		rng:   sim.SubRNG(cfg.Seed, "yarn-rm"),
 	}
 	for _, n := range nodes {
@@ -207,12 +197,6 @@ func NewResourceManager(e *sim.Engine, cfg Config, nodes []*cluster.Node) (*Reso
 	}
 	return rm, nil
 }
-
-// Engine returns the RM's simulation engine.
-func (rm *ResourceManager) Engine() *sim.Engine { return rm.eng }
-
-// Config returns the deployment configuration.
-func (rm *ResourceManager) Config() Config { return rm.cfg }
 
 // NodeManagers returns the NMs in deployment order.
 func (rm *ResourceManager) NodeManagers() []*NodeManager { return rm.nms }
@@ -328,7 +312,6 @@ func (rm *ResourceManager) Submit(p *sim.Proc, desc AppDesc) (*Application, erro
 	app := &Application{
 		ID:         rm.nextApp,
 		Name:       desc.Name,
-		Queue:      desc.Queue,
 		rm:         rm,
 		runner:     desc.Runner,
 		amSpec:     amSpec,
@@ -394,14 +377,6 @@ func (rm *ResourceManager) launchAM(c *Container) {
 		am := &AppMaster{app: app, rm: rm, Container: c}
 		app.runner(p, am)
 	})
-}
-
-// containerFinished updates scheduler accounting on any container exit.
-func (rm *ResourceManager) containerFinished(c *Container) {
-	delete(c.App.live, c.ID)
-	if cs, ok := rm.sched.(*CapacityScheduler); ok {
-		cs.ContainerReleased(c.App.Queue, c.Spec)
-	}
 }
 
 // Preempt reclaims a running container for the scheduler (the behaviour

@@ -1,10 +1,5 @@
 package yarn
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Request is a pending container request tracked by the scheduler.
 type Request struct {
 	app  *Application
@@ -26,26 +21,11 @@ type Assignment struct {
 	Req *Request
 }
 
-// Scheduler is the ResourceManager's pluggable allocation policy. All
-// methods run in kernel context on NodeManager heartbeats.
-type Scheduler interface {
-	// Name identifies the policy ("fifo", "capacity").
-	Name() string
-	// Add registers a request.
-	Add(r *Request)
-	// RemoveApp drops all requests of an application.
-	RemoveApp(appID int)
-	// NodeUpdate offers a heartbeating node's free resources; the
-	// scheduler returns the requests (one container each) to place
-	// there, having decremented their counts.
-	NodeUpdate(nm *NodeManager) []Assignment
-	// Pending returns the number of outstanding containers.
-	Pending() int
-}
-
-// FIFOScheduler serves requests strictly in arrival order, with delay
-// scheduling for locality preferences. It is YARN's default scheduler
-// and the one the paper's single-tenant Mode I deployments use.
+// FIFOScheduler is the ResourceManager's allocation policy: it serves
+// requests strictly in arrival order, with delay scheduling for locality
+// preferences. It is YARN's default scheduler and the one the paper's
+// single-tenant Mode I/II deployments use. All methods run in kernel
+// context on NodeManager heartbeats.
 type FIFOScheduler struct {
 	queue []*Request
 }
@@ -53,13 +33,10 @@ type FIFOScheduler struct {
 // NewFIFOScheduler returns an empty FIFO scheduler.
 func NewFIFOScheduler() *FIFOScheduler { return &FIFOScheduler{} }
 
-// Name implements Scheduler.
-func (s *FIFOScheduler) Name() string { return "fifo" }
-
-// Add implements Scheduler.
+// Add registers a request.
 func (s *FIFOScheduler) Add(r *Request) { s.queue = append(s.queue, r) }
 
-// RemoveApp implements Scheduler.
+// RemoveApp drops all requests of an application.
 func (s *FIFOScheduler) RemoveApp(appID int) {
 	kept := s.queue[:0]
 	for _, r := range s.queue {
@@ -73,7 +50,7 @@ func (s *FIFOScheduler) RemoveApp(appID int) {
 	s.queue = kept
 }
 
-// Pending implements Scheduler.
+// Pending returns the number of outstanding containers.
 func (s *FIFOScheduler) Pending() int {
 	n := 0
 	for _, r := range s.queue {
@@ -82,7 +59,9 @@ func (s *FIFOScheduler) Pending() int {
 	return n
 }
 
-// NodeUpdate implements Scheduler.
+// NodeUpdate offers a heartbeating node's free resources and returns the
+// requests (one container each) to place there, having decremented their
+// counts.
 func (s *FIFOScheduler) NodeUpdate(nm *NodeManager) []Assignment {
 	var out []Assignment
 	free := nm.Free()
@@ -96,9 +75,8 @@ func (s *FIFOScheduler) NodeUpdate(nm *NodeManager) []Assignment {
 			free = free.Sub(r.spec)
 			out = append(out, Assignment{Req: r})
 		}
-		// FIFO head-of-line: an AM request that cannot be placed blocks
-		// later requests (matches CapacityScheduler FIFO-within-queue
-		// behaviour for a single queue).
+		// FIFO head-of-line: a request that still fits but cannot be
+		// placed here blocks later requests.
 		if r.count > 0 && nm.fits(r.spec, free) {
 			break
 		}
@@ -131,126 +109,3 @@ func (r *Request) placeable(nm *NodeManager) bool {
 	}
 	return r.passedOver >= r.relaxAfter
 }
-
-// QueueSpec defines one Capacity-scheduler queue.
-type QueueSpec struct {
-	Name string
-	// Capacity is the fraction of cluster resources guaranteed to the
-	// queue; fractions should sum to 1.
-	Capacity float64
-}
-
-// CapacityScheduler implements a simplified Hadoop CapacityScheduler:
-// named queues with capacity guarantees, FIFO within a queue, and
-// assignment favouring the most underserved queue.
-type CapacityScheduler struct {
-	specs  []QueueSpec
-	queues map[string]*FIFOScheduler
-	// usedMemory tracks per-queue memory in use, the utilization measure
-	// real CapacityScheduler orders queues by.
-	usedMemory map[string]int64
-	totalMB    int64
-}
-
-// NewCapacityScheduler builds a capacity scheduler from queue specs.
-// Applications name their queue at submission; unknown queues fall back
-// to the first spec.
-func NewCapacityScheduler(specs []QueueSpec) (*CapacityScheduler, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("yarn: capacity scheduler needs at least one queue")
-	}
-	sum := 0.0
-	cs := &CapacityScheduler{
-		specs:      specs,
-		queues:     make(map[string]*FIFOScheduler),
-		usedMemory: make(map[string]int64),
-	}
-	for _, q := range specs {
-		if q.Capacity <= 0 {
-			return nil, fmt.Errorf("yarn: queue %q capacity must be positive", q.Name)
-		}
-		if _, dup := cs.queues[q.Name]; dup {
-			return nil, fmt.Errorf("yarn: duplicate queue %q", q.Name)
-		}
-		sum += q.Capacity
-		cs.queues[q.Name] = NewFIFOScheduler()
-	}
-	if sum < 0.999 || sum > 1.001 {
-		return nil, fmt.Errorf("yarn: queue capacities sum to %.3f, want 1.0", sum)
-	}
-	return cs, nil
-}
-
-// Name implements Scheduler.
-func (s *CapacityScheduler) Name() string { return "capacity" }
-
-func (s *CapacityScheduler) queueFor(name string) (string, *FIFOScheduler) {
-	if q, ok := s.queues[name]; ok {
-		return name, q
-	}
-	return s.specs[0].Name, s.queues[s.specs[0].Name]
-}
-
-// Add implements Scheduler.
-func (s *CapacityScheduler) Add(r *Request) {
-	_, q := s.queueFor(r.app.Queue)
-	q.Add(r)
-}
-
-// RemoveApp implements Scheduler.
-func (s *CapacityScheduler) RemoveApp(appID int) {
-	for _, q := range s.queues {
-		q.RemoveApp(appID)
-	}
-}
-
-// Pending implements Scheduler.
-func (s *CapacityScheduler) Pending() int {
-	n := 0
-	for _, q := range s.queues {
-		n += q.Pending()
-	}
-	return n
-}
-
-// NodeUpdate implements Scheduler: queues are served most-underserved
-// first (used/capacity ascending).
-func (s *CapacityScheduler) NodeUpdate(nm *NodeManager) []Assignment {
-	type qstate struct {
-		name  string
-		ratio float64
-	}
-	var order []qstate
-	for _, spec := range s.specs {
-		used := float64(s.usedMemory[spec.Name])
-		order = append(order, qstate{spec.Name, used / spec.Capacity})
-	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].ratio < order[j].ratio })
-	var out []Assignment
-	for _, qs := range order {
-		placed := s.queues[qs.name].NodeUpdate(nm)
-		for _, a := range placed {
-			s.usedMemory[qs.name] += a.Req.spec.MemoryMB
-		}
-		out = append(out, placed...)
-		if len(placed) > 0 {
-			break // re-evaluate queue order after serving one queue
-		}
-	}
-	return out
-}
-
-// ContainerReleased informs the scheduler that memory returned to a
-// queue (used by the RM on container completion).
-func (s *CapacityScheduler) ContainerReleased(queue string, spec ResourceSpec) {
-	name, _ := s.queueFor(queue)
-	s.usedMemory[name] -= spec.MemoryMB
-	if s.usedMemory[name] < 0 {
-		s.usedMemory[name] = 0
-	}
-}
-
-var (
-	_ Scheduler = (*FIFOScheduler)(nil)
-	_ Scheduler = (*CapacityScheduler)(nil)
-)

@@ -1,6 +1,6 @@
 // Package yarn implements the YARN resource manager stack the paper
-// integrates with RADICAL-Pilot: a ResourceManager with pluggable
-// schedulers (FIFO, Capacity), NodeManagers with heartbeat-driven
+// integrates with RADICAL-Pilot: a ResourceManager with YARN's default
+// FIFO scheduler, NodeManagers with heartbeat-driven
 // allocation, containers with localization and launch overheads, and the
 // ApplicationMaster protocol (register → allocate → launch → unregister).
 //
@@ -81,8 +81,6 @@ type Config struct {
 	// DefaultResourceCalculator: virtual cores are tracked (and may
 	// oversubscribe) but never gate placement.
 	IgnoreVCores bool
-	// Scheduler selects the RM scheduler; nil means NewFIFOScheduler().
-	Scheduler Scheduler
 	// Seed drives launch-time jitter.
 	Seed int64
 }

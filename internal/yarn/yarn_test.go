@@ -378,62 +378,6 @@ func TestPreferredNodePlacement(t *testing.T) {
 	}
 }
 
-func TestCapacitySchedulerSharesCluster(t *testing.T) {
-	e := sim.NewEngine()
-	m := testMachine(e, 2)
-	cfg := fastConfig()
-	cs, err := NewCapacityScheduler([]QueueSpec{
-		{Name: "prod", Capacity: 0.7},
-		{Name: "dev", Capacity: 0.3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Scheduler = cs
-	rm := deployRM(t, e, m, cfg)
-	ranProd, ranDev := 0, 0
-	var stProd, stDev FinalStatus
-	e.Spawn("client", func(p *sim.Proc) {
-		prod, _ := rm.Submit(p, AppDesc{
-			Name: "prod-app", Queue: "prod",
-			Runner: simpleAM(4, ResourceSpec{2048, 1}, 30*time.Second, &ranProd),
-		})
-		dev, _ := rm.Submit(p, AppDesc{
-			Name: "dev-app", Queue: "dev",
-			Runner: simpleAM(2, ResourceSpec{2048, 1}, 30*time.Second, &ranDev),
-		})
-		stProd = prod.Wait(p)
-		stDev = dev.Wait(p)
-	})
-	e.Run()
-	e.Close()
-	if stProd != StatusSucceeded || stDev != StatusSucceeded {
-		t.Fatalf("statuses prod=%v dev=%v", stProd, stDev)
-	}
-	if ranProd != 4 || ranDev != 2 {
-		t.Fatalf("ran prod=%d dev=%d, want 4/2", ranProd, ranDev)
-	}
-}
-
-func TestCapacitySchedulerValidation(t *testing.T) {
-	if _, err := NewCapacityScheduler(nil); err == nil {
-		t.Error("empty queue list accepted")
-	}
-	if _, err := NewCapacityScheduler([]QueueSpec{{Name: "a", Capacity: 0.5}}); err == nil {
-		t.Error("capacities summing to 0.5 accepted")
-	}
-	if _, err := NewCapacityScheduler([]QueueSpec{
-		{Name: "a", Capacity: 0.5}, {Name: "a", Capacity: 0.5},
-	}); err == nil {
-		t.Error("duplicate queue accepted")
-	}
-	if _, err := NewCapacityScheduler([]QueueSpec{
-		{Name: "a", Capacity: 1.5}, {Name: "b", Capacity: -0.5},
-	}); err == nil {
-		t.Error("negative capacity accepted")
-	}
-}
-
 func TestReleaseUnusedContainer(t *testing.T) {
 	e := sim.NewEngine()
 	m := testMachine(e, 1)
