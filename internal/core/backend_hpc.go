@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -15,7 +13,7 @@ import (
 // K-Means on plain RP shuffles through Lustre. It is elastic: extra
 // allocation chunks feed the continuous scheduler's node pool directly.
 type hpcBackend struct {
-	sched AgentScheduler
+	sched *continuousScheduler
 }
 
 func (*hpcBackend) Name() string { return string(ModeHPC) }
@@ -27,7 +25,7 @@ func (*hpcBackend) Validate(PilotDescription, *Resource) error { return nil }
 
 func (b *hpcBackend) Bootstrap(p *sim.Proc, bc *BackendContext) (AgentScheduler, error) {
 	p.Sleep(bc.Jitter(500e6)) // evaluate RM environment variables
-	b.sched = NewContinuousScheduler(bc.Session.Engine(), bc.Alloc.Nodes)
+	b.sched = newContinuousScheduler(bc.Session.Engine(), bc.Alloc.Nodes)
 	return b.sched, nil
 }
 
@@ -54,22 +52,14 @@ func (*hpcBackend) Resizable(*BackendContext) error { return nil }
 // Grow implements ElasticBackend: the chunk's nodes join the continuous
 // scheduler's pool after the launcher re-reads its node list.
 func (b *hpcBackend) Grow(p *sim.Proc, bc *BackendContext, nodes []*cluster.Node) error {
-	ns, ok := b.sched.(ElasticNodeScheduler)
-	if !ok {
-		return fmt.Errorf("core: hpc agent scheduler cannot add nodes")
-	}
 	p.Sleep(bc.Jitter(500e6)) // rewrite the launcher node file
-	ns.AddNodes(nodes)
+	b.sched.addNodes(nodes)
 	return nil
 }
 
 // Shrink implements ElasticBackend: the nodes are drained out of the
 // scheduler — running units finish undisturbed — before release.
 func (b *hpcBackend) Shrink(p *sim.Proc, _ *BackendContext, nodes []*cluster.Node) error {
-	ns, ok := b.sched.(ElasticNodeScheduler)
-	if !ok {
-		return fmt.Errorf("core: hpc agent scheduler cannot drain nodes")
-	}
-	ns.DrainNodes(p, nodes)
+	b.sched.drainNodes(p, nodes)
 	return nil
 }

@@ -26,7 +26,7 @@ type yarnBackend struct {
 	fs     *hdfs.FileSystem
 	ownsRM bool // Mode I spawned the cluster and must stop it
 	pam    *persistentAM
-	sched  AgentScheduler
+	sched  *yarnScheduler
 }
 
 func (*yarnBackend) Name() string { return string(ModeYARN) }
@@ -52,7 +52,7 @@ func (b *yarnBackend) Bootstrap(p *sim.Proc, bc *BackendContext) (AgentScheduler
 		b.ownsRM = true
 	}
 	met := b.rm.Metrics()
-	b.sched = NewYARNScheduler(bc.Session.Engine(), met.TotalMB, met.TotalVCores)
+	b.sched = newYARNScheduler(bc.Session.Engine(), met.TotalMB, met.TotalVCores)
 	if bc.Pilot.Desc.ReuseAM {
 		if err := b.startPersistentAM(p, bc); err != nil {
 			return nil, err
@@ -189,9 +189,7 @@ func (b *yarnBackend) Grow(p *sim.Proc, bc *BackendContext, nodes []*cluster.Nod
 		return err
 	}
 	mb, vcores := nmCapacity(nms)
-	if cs, ok := b.sched.(ElasticCapacityScheduler); ok {
-		cs.GrowCapacity(mb, vcores)
-	}
+	b.sched.growCapacity(mb, vcores)
 	return nil
 }
 
@@ -205,9 +203,7 @@ func (b *yarnBackend) Shrink(p *sim.Proc, _ *BackendContext, nodes []*cluster.No
 		return fmt.Errorf("core: %d of %d nodes have no live NodeManager", len(nodes)-len(nms), len(nodes))
 	}
 	mb, vcores := nmCapacity(nms)
-	if cs, ok := b.sched.(ElasticCapacityScheduler); ok {
-		cs.ShrinkCapacity(p, mb, vcores)
-	}
+	b.sched.shrinkCapacity(p, mb, vcores)
 	b.rm.Decommission(p, nms)
 	return nil
 }
@@ -246,7 +242,8 @@ type YARNMetricsProvider interface {
 func (b *yarnBackend) HDFS() *hdfs.FileSystem { return b.fs }
 
 // HDFSProvider is implemented by backends whose pilots carry an HDFS
-// filesystem (used by the "locality" unit scheduler through Pilot.HDFS).
+// filesystem, read through Pilot.HDFS (e.g. to provision an HDFS-backed
+// data pilot).
 type HDFSProvider interface {
 	HDFS() *hdfs.FileSystem
 }

@@ -123,18 +123,12 @@ func (pv *PilotView) DataFreeBytes() int64 {
 // replicas the pilot's attached data pilot holds — the co-location
 // signal the data-affinity schedulers place by.
 func (pv *PilotView) InputBytes(u *Unit) int64 {
-	return inputBytesOnPilot(pv.DataPilot, u)
-}
-
-// inputBytesOnPilot is the shared probe behind PilotView.InputBytes and
-// hand-built Candidates.
-func inputBytesOnPilot(dp *data.Pilot, u *Unit) int64 {
-	if dp == nil {
+	if pv.DataPilot == nil {
 		return 0
 	}
 	var total int64
 	for _, ref := range u.Desc.Inputs {
-		if ref.Unit != nil && ref.Unit.ReplicaOn(dp) {
+		if ref.Unit != nil && ref.Unit.ReplicaOn(pv.DataPilot) {
 			total += ref.Unit.SizeBytes()
 		}
 	}

@@ -383,19 +383,26 @@ func BenchmarkClusterView(b *testing.B) {
 }
 
 // peekScheduler binds every unit to the first candidate and records, at
-// each Pick, the in-pass demand that demand() and ClusterView() report.
+// each Pick, the in-pass demand that demand() and ClusterView() report,
+// and counts offered rows that are not the manager's own view rows.
 type peekScheduler struct {
 	um           *UnitManager
 	demand, view []int
+	foreignRows  int
 }
 
 func (*peekScheduler) Name() string { return "peek" }
 
-func (s *peekScheduler) Pick(_ *sim.Proc, _ *Unit, cands []*Candidate) (*Pilot, error) {
+func (s *peekScheduler) Pick(_ *sim.Proc, _ *Unit, cands []*PilotView) (*Pilot, error) {
 	wu, _, ru, _ := s.um.demand()
 	s.demand = append(s.demand, wu+ru)
 	v := s.um.ClusterView()
 	s.view = append(s.view, v.WaitingUnits+v.RunningUnits)
+	for _, pv := range cands {
+		if pv != v.For(pv.Pilot) {
+			s.foreignRows++
+		}
+	}
 	return cands[0].Pilot, nil
 }
 
@@ -439,6 +446,9 @@ func TestPassHidesBatchRemainder(t *testing.T) {
 	e.eng.Close()
 	if len(peek.view) != n {
 		t.Fatalf("policy saw %d offers, want %d", len(peek.view), n)
+	}
+	if peek.foreignRows != 0 {
+		t.Errorf("%d offered candidates were not the manager's ClusterView rows", peek.foreignRows)
 	}
 	for i := range peek.view {
 		if peek.demand[i] != i || peek.view[i] != i {

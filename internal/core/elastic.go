@@ -34,32 +34,6 @@ type ElasticBackend interface {
 	Shrink(p *sim.Proc, bc *BackendContext, nodes []*cluster.Node) error
 }
 
-// ElasticNodeScheduler is implemented by agent schedulers that place
-// units on individual nodes and whose node pool can change at runtime
-// (the continuous scheduler). Elastic backends grow and shrink through
-// it.
-type ElasticNodeScheduler interface {
-	AgentScheduler
-	// AddNodes extends the pool; parked units that now fit are granted.
-	AddNodes(nodes []*cluster.Node)
-	// DrainNodes withholds the nodes from placement, blocks p until
-	// they are idle, then removes them.
-	DrainNodes(p *sim.Proc, nodes []*cluster.Node)
-}
-
-// ElasticCapacityScheduler is implemented by agent schedulers that admit
-// units against aggregate cluster capacity (the YARN memory-and-cores
-// scheduler) and can change that capacity at runtime.
-type ElasticCapacityScheduler interface {
-	AgentScheduler
-	// GrowCapacity raises the admission ceiling; parked units that now
-	// fit are granted.
-	GrowCapacity(mb int64, cores int)
-	// ShrinkCapacity blocks p until the given capacity is free, then
-	// retires it — no admitted unit loses its slot.
-	ShrinkCapacity(p *sim.Proc, mb int64, cores int)
-}
-
 // chunk is one extra allocation acquired by a grow: a placeholder job
 // holding nodes that extend the pilot beyond its base allocation. Its
 // payload parks until the chunk is released (shrink or pilot teardown);

@@ -212,7 +212,9 @@ func (pl *Pilot) YARNMetrics() *yarn.ClusterMetrics {
 // backend runs on (a Mode I pilot's spawned cluster), or the resource's
 // dedicated filesystem for ConnectDedicated pilots before their backend
 // is bootstrapped. Nil when the pilot has no HDFS (plain HPC, Spark).
-// The "locality" unit scheduler places units through it.
+// An HDFS-backed data pilot is provisioned over it; the unit schedulers
+// do not read it, they place by the replica bytes on the attached data
+// pilot (PilotView.InputBytes).
 func (pl *Pilot) HDFS() *hdfs.FileSystem {
 	if prov, ok := pl.backend.(HDFSProvider); ok {
 		if fs := prov.HDFS(); fs != nil {

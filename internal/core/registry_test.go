@@ -12,7 +12,7 @@ import (
 type confScheduler struct{}
 
 func (confScheduler) Name() string { return "conformance-sched" }
-func (confScheduler) Pick(*sim.Proc, *Unit, []*Candidate) (*Pilot, error) {
+func (confScheduler) Pick(*sim.Proc, *Unit, []*PilotView) (*Pilot, error) {
 	return nil, nil
 }
 

@@ -35,7 +35,7 @@ func BenchmarkContinuousAcquireRelease(b *testing.B) {
 				CPUFactor:  1,
 				ExternalBW: 100e6,
 			})
-			s := NewContinuousScheduler(eng, m.Nodes)
+			s := newContinuousScheduler(eng, m.Nodes)
 			u := &Unit{ID: "bench-unit", Desc: ComputeUnitDescription{Cores: 1}.withDefaults()}
 			eng.Spawn("bench", func(p *sim.Proc) {
 				b.ResetTimer()

@@ -37,52 +37,6 @@ const (
 	SchedulerCoLocate = "co-locate"
 )
 
-// Candidate is one pilot a UnitScheduler may bind a unit to, together
-// with the Unit-Manager's bookkeeping for it. Managers only offer pilots
-// that have not reached a final state.
-type Candidate struct {
-	Pilot *Pilot
-	// View is the pilot's slice of the manager's ClusterView at offer
-	// time — capacity, demand split, and the attached data store's
-	// occupancy in one place. It is set on every candidate the manager
-	// offers; hand-built candidates (tests, custom harnesses) may leave
-	// it nil, in which case the accessors below probe the pilot directly.
-	// It points into the manager's one view, whose pilot row is the
-	// manager's ledger for the pilot and whose probes refresh before
-	// every offer: read it during Pick, do not retain it across
-	// scheduling events.
-	View *PilotView
-}
-
-// InFlightUnits counts units bound to the pilot that have not yet
-// reached a final state, read off the offer-time View; hand-built
-// candidates without a View have no manager bookkeeping and report 0.
-func (c *Candidate) InFlightUnits() int {
-	if c.View == nil {
-		return 0
-	}
-	return c.View.InFlightUnits()
-}
-
-// InFlightCores is the summed core demand of the in-flight units, read
-// off the View like InFlightUnits.
-func (c *Candidate) InFlightCores() int {
-	if c.View == nil {
-		return 0
-	}
-	return c.View.InFlightCores()
-}
-
-// CoreCapacity estimates the pilot's total core capacity (see
-// pilotCoreCapacity): the offer-time view's figure, or a fresh probe on
-// hand-built candidates. Zero means the capacity is unknown.
-func (c *Candidate) CoreCapacity() int {
-	if c.View != nil {
-		return c.View.TotalCores
-	}
-	return pilotCoreCapacity(c.Pilot)
-}
-
 // pilotCoreCapacity is the one definition of a pilot's core capacity:
 // the connected YARN cluster's vcore count once a YARN agent is up, and
 // the current allocation size (Pilot.Capacity() nodes × per-node cores)
@@ -102,18 +56,18 @@ func pilotCoreCapacity(pl *Pilot) int {
 	return pl.Capacity() * res.Machine.Spec.Node.Cores
 }
 
-// FreeCores is CoreCapacity minus the cores already in flight.
-func (c *Candidate) FreeCores() int { return c.CoreCapacity() - c.InFlightCores() }
-
 // UnitScheduler is the Unit-Manager's pluggable placement policy: it
 // decides which pilot each submitted unit binds to, and when. One
 // instance is created per UnitManager (factories may keep per-manager
 // state such as a rotation cursor).
 //
-// Pick is called with the manager's live (non-final) candidates, at
+// Pick is called with the manager's live (non-final) pilots, at
 // submission time and again on every scheduling event (pilot state
-// change, unit completion, new pilot) while the unit is unbound. It
-// returns one of three outcomes:
+// change, unit completion, new pilot) while the unit is unbound. Each
+// candidate is the pilot's row of the manager's ClusterView: the
+// manager's ledger for the pilot, with probes refreshed before every
+// offer. Read the rows during Pick; do not retain them across
+// scheduling events. Pick returns one of three outcomes:
 //
 //   - a candidate's pilot: the unit binds to it now;
 //   - (nil, nil): leave the unit pending — late binding; the manager
@@ -126,7 +80,7 @@ func (c *Candidate) FreeCores() int { return c.CoreCapacity() - c.InFlightCores(
 type UnitScheduler interface {
 	// Name is the registry key the policy was registered under.
 	Name() string
-	Pick(p *sim.Proc, u *Unit, cands []*Candidate) (*Pilot, error)
+	Pick(p *sim.Proc, u *Unit, cands []*PilotView) (*Pilot, error)
 }
 
 // CapacityGated marks a UnitScheduler whose park decision is exactly
@@ -186,7 +140,7 @@ type rrScheduler struct {
 
 func (*rrScheduler) Name() string { return SchedulerRoundRobin }
 
-func (s *rrScheduler) Pick(_ *sim.Proc, _ *Unit, cands []*Candidate) (*Pilot, error) {
+func (s *rrScheduler) Pick(_ *sim.Proc, _ *Unit, cands []*PilotView) (*Pilot, error) {
 	pl := cands[s.next%len(cands)].Pilot
 	s.next++
 	return pl, nil
@@ -198,7 +152,7 @@ type leastLoadedScheduler struct{}
 
 func (*leastLoadedScheduler) Name() string { return SchedulerLeastLoaded }
 
-func (*leastLoadedScheduler) Pick(_ *sim.Proc, _ *Unit, cands []*Candidate) (*Pilot, error) {
+func (*leastLoadedScheduler) Pick(_ *sim.Proc, _ *Unit, cands []*PilotView) (*Pilot, error) {
 	best := cands[0]
 	for _, c := range cands[1:] {
 		if c.InFlightUnits() < best.InFlightUnits() {
@@ -215,19 +169,19 @@ func (*leastLoadedScheduler) Pick(_ *sim.Proc, _ *Unit, cands []*Candidate) (*Pi
 // fewest in-flight cores. With no eligible pilot the unit parks
 // (nil, nil) unless no pilot could ever fit it, which is
 // ErrUnschedulable. Unknown capacity counts as potentially fitting.
-func pickAdmissible(u *Unit, cands []*Candidate, score func(*Candidate) int64) (*Pilot, error) {
-	var best *Candidate
+func pickAdmissible(u *Unit, cands []*PilotView, score func(*PilotView) int64) (*Pilot, error) {
+	var best *PilotView
 	var bestScore int64
 	couldEverFit := false
 	for _, c := range cands {
-		capacity := c.CoreCapacity()
+		capacity := c.TotalCores
 		if capacity == 0 || capacity >= u.Desc.Cores {
 			couldEverFit = true
 		}
 		if st := c.Pilot.State(); st != PilotActive && st != PilotResizing {
 			continue
 		}
-		if capacity > 0 && capacity-c.InFlightCores() < u.Desc.Cores {
+		if capacity > 0 && c.FreeCores() < u.Desc.Cores {
 			continue
 		}
 		s := score(c)
@@ -259,19 +213,8 @@ func (*backfillScheduler) Name() string { return SchedulerBackfill }
 // admissible pilot, so the manager may capacity-index its parks.
 func (*backfillScheduler) CapacityGated() {}
 
-func (*backfillScheduler) Pick(_ *sim.Proc, u *Unit, cands []*Candidate) (*Pilot, error) {
-	return pickAdmissible(u, cands, func(*Candidate) int64 { return 0 })
-}
-
-// inputBytesOn sums the bytes of the unit's Data-Unit inputs whose
-// replicas the candidate's attached data pilot holds — the co-location
-// signal the data-affinity policies place by, read through the shared
-// ClusterView.
-func inputBytesOn(c *Candidate, u *Unit) int64 {
-	if c.View != nil {
-		return c.View.InputBytes(u)
-	}
-	return inputBytesOnPilot(c.Pilot.DataPilot(), u)
+func (*backfillScheduler) Pick(_ *sim.Proc, u *Unit, cands []*PilotView) (*Pilot, error) {
+	return pickAdmissible(u, cands, func(*PilotView) int64 { return 0 })
 }
 
 // localityScheduler implements the paper's data-locality argument at the
@@ -285,12 +228,12 @@ type localityScheduler struct {
 
 func (*localityScheduler) Name() string { return SchedulerLocality }
 
-func (s *localityScheduler) Pick(p *sim.Proc, u *Unit, cands []*Candidate) (*Pilot, error) {
+func (s *localityScheduler) Pick(p *sim.Proc, u *Unit, cands []*PilotView) (*Pilot, error) {
 	if len(u.Desc.Inputs) > 0 {
-		var best *Candidate
+		var best *PilotView
 		var bestBytes int64
 		for _, c := range cands {
-			bytes := inputBytesOn(c, u)
+			bytes := c.InputBytes(u)
 			if bytes == 0 {
 				continue
 			}
@@ -326,35 +269,6 @@ func outputBytes(u *Unit) int64 {
 // store pressure never makes a unit unschedulable.
 const storePressurePenalty = int64(1) << 50
 
-// dataFreeBytes mirrors PilotView.DataFreeBytes for candidates without a
-// view: -1 for an unbounded store, 0 when no (live) data pilot is
-// attached.
-func dataFreeBytes(c *Candidate) int64 {
-	if c.View != nil {
-		return c.View.DataFreeBytes()
-	}
-	dp := c.Pilot.DataPilot()
-	if dp == nil || dp.Failed() {
-		return 0
-	}
-	st := dp.Store()
-	if st.CapacityBytes() <= 0 {
-		return -1
-	}
-	return st.CapacityBytes() - st.UsedBytes()
-}
-
-// hasDataPilot reports whether the candidate has a live attached store —
-// the store-pressure signal only applies where outputs could land
-// locally at all.
-func hasDataPilot(c *Candidate) bool {
-	if c.View != nil {
-		return c.View.DataPilot != nil
-	}
-	dp := c.Pilot.DataPilot()
-	return dp != nil && !dp.Failed()
-}
-
 // coLocateScheduler binds compute next to its data, late: a unit waits
 // in the manager's queue until a pilot is Active with free core
 // capacity (the backfill admission rule), and among the eligible pilots
@@ -372,12 +286,13 @@ func (*coLocateScheduler) Name() string { return SchedulerCoLocate }
 // pickAdmissible rule, so its parks may capacity-index too.
 func (*coLocateScheduler) CapacityGated() {}
 
-func (*coLocateScheduler) Pick(_ *sim.Proc, u *Unit, cands []*Candidate) (*Pilot, error) {
+func (*coLocateScheduler) Pick(_ *sim.Proc, u *Unit, cands []*PilotView) (*Pilot, error) {
 	out := outputBytes(u)
-	return pickAdmissible(u, cands, func(c *Candidate) int64 {
-		score := inputBytesOn(c, u)
-		if out > 0 && hasDataPilot(c) {
-			if free := dataFreeBytes(c); free >= 0 && free < out {
+	return pickAdmissible(u, cands, func(c *PilotView) int64 {
+		score := c.InputBytes(u)
+		// Store pressure applies only where outputs could land locally.
+		if out > 0 && c.DataPilot != nil {
+			if free := c.DataFreeBytes(); free >= 0 && free < out {
 				score -= storePressurePenalty
 			}
 		}

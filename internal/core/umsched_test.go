@@ -380,7 +380,7 @@ type rogueScheduler struct{ foreign *Pilot }
 
 func (*rogueScheduler) Name() string { return "rogue" }
 
-func (s *rogueScheduler) Pick(_ *sim.Proc, _ *Unit, _ []*Candidate) (*Pilot, error) {
+func (s *rogueScheduler) Pick(_ *sim.Proc, _ *Unit, _ []*PilotView) (*Pilot, error) {
 	return s.foreign, nil
 }
 

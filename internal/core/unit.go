@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -544,8 +545,8 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 		um.bumpGen()
 		return
 	}
-	c := pc.byPilot[pl]
-	if c == nil {
+	pv := um.view.For(pl)
+	if pv == nil || !slices.Contains(pc.list, pv) {
 		// A (custom) policy returned a pilot outside the candidates it
 		// was offered — foreign, or already final before the pass: fail
 		// the unit rather than corrupt bookkeeping or retry forever.
@@ -563,9 +564,9 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 	u.Pilot = pl
 	detail := ""
 	if um.session.rec != nil { // the load the policy saw, before this bind
-		detail = fmt.Sprintf("%d/%d cores in flight", c.View.InFlightCores(), c.View.TotalCores)
+		detail = fmt.Sprintf("%d/%d cores in flight", pv.InFlightCores(), pv.TotalCores)
 	}
-	um.setAcct(u, acctBoundWaiting, c.View)
+	um.setAcct(u, acctBoundWaiting, pv)
 	if r := um.session.rec; r != nil {
 		r.Record(obs.Event{
 			Kind: obs.KindBind, Unit: u.ID, Name: u.Desc.Name, Pilot: pl.ID,
@@ -590,19 +591,15 @@ func (um *UnitManager) parkAgain(u *Unit) {
 	}
 }
 
-// passCands is the per-pass candidate set: one Candidate per live
-// pilot, with a membership map replacing the old per-unit linear scan.
-// The set rebuilds only when the pilot topology or a pilot's state
-// changed (pilotGen); each candidate's View is its pilot's row of the
-// manager's one ClusterView, whose live probes refresh before every
-// offer, in place and without allocating.
+// passCands is the per-pass candidate set: the manager's ClusterView
+// rows of its live pilots. The set rebuilds only when the pilot
+// topology or a pilot's state changed (pilotGen); the rows' live probes
+// refresh before every offer, in place and without allocating.
 type passCands struct {
 	um       *UnitManager
 	pilotGen uint64
 	built    bool
-	all      []Candidate
-	list     []*Candidate
-	byPilot  map[*Pilot]*Candidate
+	list     []*PilotView
 	// maxFree is the largest admittable core demand across candidates:
 	// the admission gate for capacity-indexed classes. Pilots with
 	// unknown capacity admit anything, as pickAdmissible does.
@@ -617,26 +614,18 @@ func (pc *passCands) admits(cores int) bool { return cores <= pc.maxFree }
 func (pc *passCands) ensure() {
 	um := pc.um
 	if !pc.built || pc.pilotGen != um.pilotGen {
-		rows := um.view.Pilots
-		pc.all = make([]Candidate, 0, len(rows)) // never regrows: list points into it
 		pc.list = pc.list[:0]
-		pc.byPilot = make(map[*Pilot]*Candidate, len(rows))
-		for _, pv := range rows {
-			if pv.Pilot.State().Final() {
-				continue
+		for _, pv := range um.view.Pilots {
+			if !pv.Pilot.State().Final() {
+				pc.list = append(pc.list, pv)
 			}
-			pc.all = append(pc.all, Candidate{Pilot: pv.Pilot, View: pv})
-			c := &pc.all[len(pc.all)-1]
-			pc.list = append(pc.list, c)
-			pc.byPilot[c.Pilot] = c
 		}
 		pc.built = true
 		pc.pilotGen = um.pilotGen
 	}
 	um.refreshProbes(um.sumTotals())
 	pc.maxFree = 0
-	for _, c := range pc.list {
-		pv := c.View
+	for _, pv := range pc.list {
 		if st := pv.State; st != PilotActive && st != PilotResizing {
 			continue
 		}

@@ -5,8 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/pilot"
@@ -82,23 +80,18 @@ func runCacheCell(cached bool, seed int64) (*CacheRow, error) {
 	if cached {
 		row.Label = "cached"
 	}
-	eng := sim.NewEngine()
-	defer eng.Close()
 	// Two nodes, so the 2-core jobs run eight wide and redundant
-	// executions cost visible makespan.
-	m := cluster.New(eng, testbed("cache", 2))
-	batch := hpc.NewBatch(m, testbedBatch(seed))
-	// The cell always runs with a flight recorder: the bind-invariant
-	// check below audits its stream — in the cached cell it proves the
-	// coalesced and hit submissions completed without ever binding.
-	rec := pilot.NewRecorder(eng)
-	tapMetrics(rec)
-	session := pilot.NewSession(eng,
-		pilot.WithProfile(schedProfile()), pilot.WithSeed(seed), pilot.WithRecorder(rec))
-	res := &pilot.Resource{Name: "cache", URL: "slurm://cache", Machine: m, Batch: batch}
-	if err := session.AddResource(res); err != nil {
+	// executions cost visible makespan. The cell always runs with a
+	// flight recorder: the bind-invariant check below audits its stream
+	// — in the cached cell it proves the coalesced and hit submissions
+	// completed without ever binding.
+	env, err := newEnv(testbed("cache", 2), testbedBatch(seed), schedProfile(), true)
+	if err != nil {
 		return nil, err
 	}
+	env.Label = "cache/" + row.Label
+	defer env.Close()
+	eng, session, rec := env.Eng, env.Session, env.Rec
 
 	var runErr error
 	eng.Spawn("driver", func(p *sim.Proc) {
@@ -277,7 +270,6 @@ func runCacheCell(cached bool, seed int64) (*CacheRow, error) {
 	if got, want := pilot.DoneUnits(events), CacheJobs()+cacheSharedJobs; got != want {
 		return nil, fmt.Errorf("recorder saw %d DONE units, want %d", got, want)
 	}
-	tapCommit("cache/"+row.Label, rec)
 	return row, nil
 }
 

@@ -5,8 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/pilot"
@@ -80,22 +78,17 @@ func RunDAGComparison(seed int64) ([]*DAGRow, error) {
 
 // runDAGCell executes the graph under one ordering.
 func runDAGCell(ord pilot.GraphOrdering, seed int64) (*DAGRow, error) {
-	eng := sim.NewEngine()
-	defer eng.Close()
 	// Two nodes, so the graph's 2-core units run at most eight wide and
-	// the bind order decides what the first waves carry.
-	m := cluster.New(eng, testbed("dag", 2))
-	batch := hpc.NewBatch(m, testbedBatch(seed))
-	// The cell always runs with a flight recorder: its event stream is
-	// what the bind-invariant check below audits, tap or no tap.
-	rec := pilot.NewRecorder(eng)
-	tapMetrics(rec)
-	session := pilot.NewSession(eng,
-		pilot.WithProfile(schedProfile()), pilot.WithSeed(seed), pilot.WithRecorder(rec))
-	res := &pilot.Resource{Name: "dag", URL: "slurm://dag", Machine: m, Batch: batch}
-	if err := session.AddResource(res); err != nil {
+	// the bind order decides what the first waves carry. The cell always
+	// runs with a flight recorder: its event stream is what the
+	// bind-invariant check below audits, tap or no tap.
+	env, err := newEnv(testbed("dag", 2), testbedBatch(seed), schedProfile(), true)
+	if err != nil {
 		return nil, err
 	}
+	env.Label = "dag/" + ord.String()
+	defer env.Close()
+	eng, session, rec := env.Eng, env.Session, env.Rec
 
 	row := &DAGRow{Ordering: ord}
 	var runErr error
@@ -277,7 +270,6 @@ func runDAGCell(ord pilot.GraphOrdering, seed int64) (*DAGRow, error) {
 	if got := pilot.DoneUnits(events); got != DAGUnits() {
 		return nil, fmt.Errorf("recorder saw %d DONE units, want %d", got, DAGUnits())
 	}
-	tapCommit("dag/"+ord.String(), rec)
 	return row, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/pilot"
@@ -99,16 +98,13 @@ func dataElasticPolicy(name string) pilot.AutoscalePolicy {
 // runDataElasticCell executes the workload on a fresh environment with
 // both pilots autoscaled under the named policy.
 func runDataElasticCell(policy string, seed int64) (*DataElasticRow, error) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	m := cluster.New(eng, dataElasticSpec())
-	batch := hpc.NewBatch(m, testbedBatch(seed))
-	session := pilot.NewSession(eng, pilot.WithProfile(schedProfile()), pilot.WithSeed(seed))
-	rec := tapRecorder(eng, session)
-	res := &pilot.Resource{Name: "dataelastic", URL: "slurm://dataelastic", Machine: m, Batch: batch}
-	if err := session.AddResource(res); err != nil {
+	env, err := newEnv(dataElasticSpec(), testbedBatch(seed), schedProfile(), false)
+	if err != nil {
 		return nil, err
 	}
+	env.Label = "dataelastic/" + policy
+	defer env.Close()
+	eng, session := env.Eng, env.Session
 
 	row := &DataElasticRow{Policy: policy}
 	var runErr error
@@ -244,7 +240,6 @@ func runDataElasticCell(policy string, seed int64) (*DataElasticRow, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	tapCommit("dataelastic/"+policy, rec)
 	return row, nil
 }
 

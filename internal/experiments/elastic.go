@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/pilot"
@@ -101,16 +100,13 @@ func RunElasticComparison(seed int64) ([]*ElasticRow, error) {
 // runElasticCell executes the bursty workload on a fresh environment.
 // policy is nil for the static baseline.
 func runElasticCell(name string, policy pilot.AutoscalePolicy, seed int64) (*ElasticRow, error) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	m := cluster.New(eng, elasticSpec())
-	batch := hpc.NewBatch(m, testbedBatch(seed))
-	session := pilot.NewSession(eng, pilot.WithProfile(schedProfile()), pilot.WithSeed(seed))
-	rec := tapRecorder(eng, session)
-	res := &pilot.Resource{Name: "elastic", URL: "slurm://elastic", Machine: m, Batch: batch}
-	if err := session.AddResource(res); err != nil {
+	env, err := newEnv(elasticSpec(), testbedBatch(seed), schedProfile(), false)
+	if err != nil {
 		return nil, err
 	}
+	env.Label = "elastic/" + name
+	defer env.Close()
+	eng, session := env.Eng, env.Session
 
 	row := &ElasticRow{Policy: name}
 	var runErr error
@@ -205,7 +201,6 @@ func runElasticCell(name string, policy pilot.AutoscalePolicy, seed int64) (*Ela
 	if runErr != nil {
 		return nil, runErr
 	}
-	tapCommit("elastic/"+name, rec)
 	return row, nil
 }
 

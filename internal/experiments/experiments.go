@@ -29,9 +29,10 @@ type Env struct {
 	Batch   *hpc.Batch
 	Session *pilot.Session
 	Res     *pilot.Resource
-	// Rec is the flight recorder attached to the session while a Tap is
-	// installed (SetTap); nil otherwise. Its stream publishes to the tap
-	// at Close under Label.
+	// Rec is the flight recorder attached to the session (tapRecorder):
+	// always in cells that audit their own stream, otherwise only while
+	// a tap or metrics registry is installed; nil when none. Its stream
+	// publishes to the tap at Close under Label.
 	Rec *pilot.Recorder
 	// Label tags this environment's stream in tap exports; NewEnv sets
 	// it to the machine name and callers may override before Close.
@@ -91,8 +92,6 @@ func NewEnv(name MachineName, nodes int, seed int64) (*Env, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown machine %q", name)
 	}
-	eng := sim.NewEngine()
-	m := cluster.New(eng, profile(nodes))
 	batchCfg := hpc.DefaultConfig()
 	batchCfg.Seed = seed
 	// Idle development-queue behaviour: short dispatch floor, regular
@@ -101,34 +100,56 @@ func NewEnv(name MachineName, nodes int, seed int64) (*Env, error) {
 	batchCfg.SchedCycle = 30e9   // 30s
 	batchCfg.Prolog = 8e9        // 8s
 	batchCfg.DefaultWallTime = 8 * 3600e9
-	b := hpc.NewBatch(m, batchCfg)
-	session := pilot.NewSession(eng, pilot.WithSeed(seed))
-	res := &pilot.Resource{
-		Name:    string(name),
-		URL:     "slurm://" + string(name),
-		Machine: m,
-		Batch:   b,
+	env, err := newEnv(profile(nodes), batchCfg, pilot.DefaultProfile(), false)
+	if err != nil {
+		return nil, err
 	}
 	if name == Wrangler {
-		fs, err := hdfs.New(eng, hdfs.DefaultConfig(), m.Nodes)
-		if err != nil {
+		if err := env.addDedicatedHadoop(seed); err != nil {
+			env.Eng.Close()
 			return nil, err
 		}
-		ycfg := yarn.DefaultConfig()
-		ycfg.Seed = seed
-		ycfg.Fetcher = yarn.VolumeFetcher{Volume: m.Lustre}
-		rm, err := yarn.NewResourceManager(eng, ycfg, m.Nodes)
-		if err != nil {
-			return nil, err
-		}
-		res.DedicatedYARN = rm
-		res.DedicatedHDFS = fs
 	}
+	return env, nil
+}
+
+// newEnv builds one environment on spec: a fresh engine and machine,
+// the batch system bcfg configures, a session on prof seeded with
+// bcfg.Seed, a resource named after the spec, and a flight recorder
+// when record is set or an observer is installed (tapRecorder). Close
+// publishes the stream under Label, which starts as the spec's name.
+func newEnv(spec cluster.MachineSpec, bcfg hpc.Config, prof pilot.BootstrapProfile, record bool) (*Env, error) {
+	eng := sim.NewEngine()
+	m := cluster.New(eng, spec)
+	b := hpc.NewBatch(m, bcfg)
+	session := pilot.NewSession(eng, pilot.WithProfile(prof), pilot.WithSeed(bcfg.Seed))
+	rec := tapRecorder(eng, session, record)
+	res := &pilot.Resource{Name: spec.Name, URL: "slurm://" + spec.Name, Machine: m, Batch: b}
 	if err := session.AddResource(res); err != nil {
+		eng.Close()
 		return nil, err
 	}
 	return &Env{Eng: eng, Machine: m, Batch: b, Session: session, Res: res,
-		Rec: tapRecorder(eng, session), Label: string(name)}, nil
+		Rec: rec, Label: spec.Name}, nil
+}
+
+// addDedicatedHadoop deploys a standing HDFS+YARN environment over every
+// node of the machine and registers it on the resource, so Mode II
+// pilots can connect to it.
+func (e *Env) addDedicatedHadoop(seed int64) error {
+	fs, err := hdfs.New(e.Eng, hdfs.DefaultConfig(), e.Machine.Nodes)
+	if err != nil {
+		return err
+	}
+	ycfg := yarn.DefaultConfig()
+	ycfg.Seed = seed
+	ycfg.Fetcher = yarn.VolumeFetcher{Volume: e.Machine.Lustre}
+	rm, err := yarn.NewResourceManager(e.Eng, ycfg, e.Machine.Nodes)
+	if err != nil {
+		return err
+	}
+	e.Res.DedicatedYARN, e.Res.DedicatedHDFS = rm, fs
+	return nil
 }
 
 // Close tears the environment down, reaping daemon processes, and

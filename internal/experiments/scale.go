@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/pilot"
@@ -97,26 +95,21 @@ func RunScaleSweep(seed int64, scales []int) ([]*ScaleRow, error) {
 // runScaleCell runs one scale: fresh engine, fresh pilots, n units.
 func runScaleCell(seed int64, n int) (*ScaleRow, error) {
 	pilots := scalePilots(n)
-	eng := sim.NewEngine()
-	defer eng.Close()
-	m := cluster.New(eng, testbed("scale", 2*pilots)) // two nodes per pilot
 	bcfg := testbedBatch(seed)
 	bcfg.DefaultWallTime = 8 * time.Hour
-	batch := hpc.NewBatch(m, bcfg)
 	// The cell always records: the telemetry plane is the measurement
 	// instrument here, not an optional observer. A private registry
-	// keeps this scale's numbers separate; tapMetrics additionally
+	// keeps this scale's numbers separate; the recorder additionally
 	// feeds the live endpoint's shared registry when one is installed.
-	rec := pilot.NewRecorder(eng)
-	reg := pilot.NewMetricsRegistry()
-	rec.OnRecord(pilot.NewMetricsBridge(reg).Apply)
-	tapMetrics(rec)
-	session := pilot.NewSession(eng,
-		pilot.WithProfile(schedProfile()), pilot.WithSeed(seed), pilot.WithRecorder(rec))
-	res := &pilot.Resource{Name: "scale", URL: "slurm://scale", Machine: m, Batch: batch}
-	if err := session.AddResource(res); err != nil {
+	env, err := newEnv(testbed("scale", 2*pilots), bcfg, schedProfile(), true) // two nodes per pilot
+	if err != nil {
 		return nil, err
 	}
+	env.Label = fmt.Sprintf("scale/%d", n)
+	defer env.Close()
+	eng, session, rec := env.Eng, env.Session, env.Rec
+	reg := pilot.NewMetricsRegistry()
+	rec.OnRecord(pilot.NewMetricsBridge(reg).Apply)
 
 	row := &ScaleRow{Units: n, Pilots: pilots, Nodes: 2 * pilots}
 	turn := metrics.NewReservoir(4096, seed)
@@ -200,7 +193,6 @@ func runScaleCell(seed int64, n int) (*ScaleRow, error) {
 	if row.Wall > 0 {
 		row.UnitsPerSec = float64(n) / row.Wall.Seconds()
 	}
-	tapCommit(fmt.Sprintf("scale/%d", n), rec)
 	return row, nil
 }
 

@@ -6,11 +6,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/hdfs"
-	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/yarn"
 	"repro/pilot"
 )
 
@@ -95,30 +92,16 @@ func RunSchedulerComparison(seed int64) ([]*SchedRow, error) {
 // runSchedCell executes one workload under one policy on a fresh
 // environment.
 func runSchedCell(wl, policy string, seed int64) (*SchedRow, error) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	m := cluster.New(eng, schedSpec())
-	batch := hpc.NewBatch(m, testbedBatch(seed))
-	fs, err := hdfs.New(eng, hdfs.DefaultConfig(), m.Nodes)
+	env, err := newEnv(schedSpec(), testbedBatch(seed), schedProfile(), false)
 	if err != nil {
 		return nil, err
 	}
-	ycfg := yarn.DefaultConfig()
-	ycfg.Seed = seed
-	ycfg.Fetcher = yarn.VolumeFetcher{Volume: m.Lustre}
-	rm, err := yarn.NewResourceManager(eng, ycfg, m.Nodes)
-	if err != nil {
+	env.Label = "sched/" + wl + "/" + policy
+	defer env.Close()
+	if err := env.addDedicatedHadoop(seed); err != nil {
 		return nil, err
 	}
-	session := pilot.NewSession(eng, pilot.WithProfile(schedProfile()), pilot.WithSeed(seed))
-	rec := tapRecorder(eng, session)
-	res := &pilot.Resource{
-		Name: "hetero", URL: "slurm://hetero", Machine: m, Batch: batch,
-		DedicatedYARN: rm, DedicatedHDFS: fs,
-	}
-	if err := session.AddResource(res); err != nil {
-		return nil, err
-	}
+	eng, session := env.Eng, env.Session
 
 	row := &SchedRow{Workload: wl, Policy: policy}
 	var runErr error
@@ -181,7 +164,7 @@ func runSchedCell(wl, policy string, seed int64) (*SchedRow, error) {
 			// bytes.
 			dm := pilot.NewDataManager(session)
 			portal, err := dm.AddPilot(pilot.DataPilotDescription{
-				Backend: pilot.DataBackendHDFS, Label: "portal", HDFS: fs,
+				Backend: pilot.DataBackendHDFS, Label: "portal", HDFS: env.Res.DedicatedHDFS,
 			})
 			if err != nil {
 				runErr = err
@@ -246,7 +229,6 @@ func runSchedCell(wl, policy string, seed int64) (*SchedRow, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	tapCommit("sched/"+wl+"/"+policy, rec)
 	return row, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/hpc"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/pilot"
@@ -95,16 +94,13 @@ func RunStagingComparison(seed int64) ([]*StagingRow, error) {
 // runStagingCell executes the workload on a fresh environment with the
 // mode's data tier.
 func runStagingCell(mode string, seed int64) (*StagingRow, error) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	m := cluster.New(eng, stagingSpec())
-	batch := hpc.NewBatch(m, testbedBatch(seed))
-	session := pilot.NewSession(eng, pilot.WithProfile(schedProfile()), pilot.WithSeed(seed))
-	rec := tapRecorder(eng, session)
-	res := &pilot.Resource{Name: "staging", URL: "slurm://staging", Machine: m, Batch: batch}
-	if err := session.AddResource(res); err != nil {
+	env, err := newEnv(stagingSpec(), testbedBatch(seed), schedProfile(), false)
+	if err != nil {
 		return nil, err
 	}
+	env.Label = "data/" + mode
+	defer env.Close()
+	eng, session, m := env.Eng, env.Session, env.Machine
 
 	policy := pilot.SchedulerCoLocate
 	if mode == StagingRemote {
@@ -267,7 +263,6 @@ func runStagingCell(mode string, seed int64) (*StagingRow, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	tapCommit("data/"+mode, rec)
 	return row, nil
 }
 

@@ -63,29 +63,22 @@ func getMetricsRegistry() *pilot.MetricsRegistry {
 	return installedReg
 }
 
-// tapRecorder attaches a fresh flight recorder to the session when a
-// tap or a metrics registry is installed; with neither it returns nil
-// and the run is unobserved (the opt-in contract).
-func tapRecorder(eng *sim.Engine, s *pilot.Session) *pilot.Recorder {
-	if getTap() == nil && getMetricsRegistry() == nil {
+// tapRecorder attaches a fresh flight recorder to the session when
+// always is set (cells whose own checks audit the stream) or a tap or
+// metrics registry is installed, and bridges its stream into the
+// installed registry, if any. Otherwise it returns nil and the run is
+// unobserved (the opt-in contract).
+func tapRecorder(eng *sim.Engine, s *pilot.Session, always bool) *pilot.Recorder {
+	reg := getMetricsRegistry()
+	if !always && getTap() == nil && reg == nil {
 		return nil
 	}
 	rec := pilot.NewRecorder(eng)
 	s.AttachRecorder(rec)
-	tapMetrics(rec)
-	return rec
-}
-
-// tapMetrics bridges rec's stream into the installed registry (no-op
-// without one). Cells that build their recorder directly — dag, cache,
-// which always record for their own invariant checks — call this so
-// their events reach the live endpoint too.
-func tapMetrics(rec *pilot.Recorder) {
-	reg := getMetricsRegistry()
-	if reg == nil || rec == nil {
-		return
+	if reg != nil {
+		rec.OnRecord(pilot.NewMetricsBridge(reg).Apply)
 	}
-	rec.OnRecord(pilot.NewMetricsBridge(reg).Apply)
+	return rec
 }
 
 // tapCommit publishes one finished cell's stream to the installed tap;

@@ -1,7 +1,6 @@
 package pilot
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -24,19 +23,6 @@ func RegisterBackend(name string, factory func() Backend) error {
 // Backends lists the registered backend names, sorted. The built-ins
 // ("hpc", "yarn", "spark") are always present.
 func Backends() []string { return core.Backends() }
-
-// NewContinuousScheduler builds the per-node core scheduler used by the
-// plain HPC backend: a unit occupies cores on exactly one node, FIFO
-// with head-of-line blocking.
-func NewContinuousScheduler(e *sim.Engine, nodes []*cluster.Node) AgentScheduler {
-	return core.NewContinuousScheduler(e, nodes)
-}
-
-// NewYARNScheduler builds the memory-and-cores scheduler used by the
-// YARN backend, sized to the connected cluster's capacity.
-func NewYARNScheduler(e *sim.Engine, totalMB int64, totalCores int) AgentScheduler {
-	return core.NewYARNScheduler(e, totalMB, totalCores)
-}
 
 // NewPoolScheduler builds a single-pool core scheduler — the Spark
 // backend's model, and the simplest choice for custom backends whose

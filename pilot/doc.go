@@ -121,18 +121,19 @@
 // per pilot, the core capacity (tracking elastic resizes and YARN
 // vcores), the waiting/running demand split, the attached data store's
 // used/free bytes, and the input bytes parked behind the manager's
-// waiting units. Unit schedulers receive it as Candidate.View; autoscale
-// policies as AutoscaleSnapshot.View. Each Unit-Manager owns one view
-// for its whole life, and its per-pilot rows are the manager's
-// in-flight ledger: every unit transition (held, bound, running, final)
-// updates the pilot's Waiting/Running/Done/Failed counts in place, and
-// Candidate.InFlightUnits/InFlightCores derive from the same row. A read
-// only sums the rows into the manager-wide totals and re-probes the
-// live figures (capacity, store bytes); it never walks the in-flight
-// units and never allocates. Readers must not retain a view, or a
-// Candidate.View, across scheduling events; a retained pointer shows
-// whatever the ledger and the latest read made of it. Rebuilding the view per event had been a
-// quarter of the bind loop's CPU: on the perfbench manytask workload
+// waiting units. Unit schedulers receive its live PilotView rows as
+// Pick's candidates; autoscale policies the whole view as
+// AutoscaleSnapshot.View. Each Unit-Manager owns one view for its whole
+// life, and its per-pilot rows are the manager's in-flight ledger: every
+// unit transition (held, bound, running, final) updates the pilot's
+// Waiting/Running/Done/Failed counts in place, and
+// PilotView.InFlightUnits/InFlightCores derive from them. A read only
+// sums the rows into the manager-wide totals and re-probes the live
+// figures (capacity, store bytes); it never walks the in-flight units
+// and never allocates. Readers must not retain a view, or one of its
+// rows, across scheduling events; a retained pointer shows whatever the
+// ledger and the latest read made of it. Rebuilding the view per event
+// had been a quarter of the bind loop's CPU: on the perfbench manytask workload
 // (10⁵ one-core units on 16 HPC pilots under backfill, seed 42, 2-vCPU
 // Xeon VM) refreshing it in place took throughput from a median of
 // about 28,600 to about 53,000 units/sec over 10 run pairs, with

@@ -13,13 +13,6 @@ type (
 	// ElasticBackend is the optional capability interface of backends
 	// whose pilots can resize at runtime; see Pilot.Resize.
 	ElasticBackend = core.ElasticBackend
-	// ElasticNodeScheduler is implemented by agent schedulers whose
-	// node pool can change at runtime (the continuous scheduler).
-	ElasticNodeScheduler = core.ElasticNodeScheduler
-	// ElasticCapacityScheduler is implemented by agent schedulers that
-	// admit against an adjustable aggregate capacity (the YARN
-	// scheduler).
-	ElasticCapacityScheduler = core.ElasticCapacityScheduler
 
 	// Autoscaler drives one elastic pilot from a pluggable policy.
 	Autoscaler = core.Autoscaler
@@ -97,6 +90,6 @@ func RegisterAutoscalePolicy(name string, factory func() AutoscalePolicy) error 
 }
 
 // AutoscalePolicies lists the registered autoscale-policy names,
-// sorted. The built-ins ("deadline", "queue-depth", "utilization") are
-// always present.
+// sorted. The built-ins ("data-aware", "deadline", "queue-depth",
+// "utilization") are always present.
 func AutoscalePolicies() []string { return core.AutoscalePolicies() }

@@ -13,8 +13,9 @@ type (
 	// ClusterView is the shared placement snapshot assembled by
 	// UnitManager.ClusterView: per-pilot capacity, the waiting/running
 	// demand split, attached data-store occupancy, and the input bytes
-	// parked behind waiting units. Unit schedulers receive it through
-	// Candidate.View; autoscale policies through AutoscaleSnapshot.View.
+	// parked behind waiting units. Unit schedulers receive its live
+	// pilot rows as Pick's candidates; autoscale policies the whole view
+	// through AutoscaleSnapshot.View.
 	ClusterView = core.ClusterView
 	// PilotView is one pilot's slice of a ClusterView.
 	PilotView = core.PilotView

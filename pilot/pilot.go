@@ -60,15 +60,12 @@ type (
 	// YARN cluster metrics.
 	YARNMetricsProvider = core.YARNMetricsProvider
 	// HDFSProvider is implemented by backends whose pilots carry an HDFS
-	// filesystem (consumed by the "locality" unit scheduler).
+	// filesystem, read through Pilot.HDFS.
 	HDFSProvider = core.HDFSProvider
 
 	// UnitScheduler is the Unit-Manager's pluggable placement-policy
 	// seam; see RegisterUnitScheduler and WithScheduler.
 	UnitScheduler = core.UnitScheduler
-	// Candidate is one live pilot offered to a UnitScheduler, with the
-	// manager's in-flight bookkeeping for it.
-	Candidate = core.Candidate
 	// UnitManagerOption configures NewUnitManager.
 	UnitManagerOption = core.UnitManagerOption
 )
@@ -165,6 +162,6 @@ func RegisterUnitScheduler(name string, factory func() UnitScheduler) error {
 }
 
 // UnitSchedulers lists the registered unit-scheduler names, sorted. The
-// built-ins ("round-robin", "least-loaded", "backfill", "locality") are
-// always present.
+// built-ins ("backfill", "co-locate", "least-loaded", "locality",
+// "round-robin") are always present.
 func UnitSchedulers() []string { return core.UnitSchedulers() }

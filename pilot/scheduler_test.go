@@ -17,7 +17,7 @@ type firstPilotScheduler struct{}
 
 func (firstPilotScheduler) Name() string { return "toy-first" }
 
-func (firstPilotScheduler) Pick(_ *sim.Proc, _ *pilot.Unit, cands []*pilot.Candidate) (*pilot.Pilot, error) {
+func (firstPilotScheduler) Pick(_ *sim.Proc, _ *pilot.Unit, cands []*pilot.PilotView) (*pilot.Pilot, error) {
 	return cands[0].Pilot, nil
 }
 
