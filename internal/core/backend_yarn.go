@@ -110,9 +110,7 @@ func (b *yarnBackend) bootstrapHadoop(p *sim.Proc, bc *BackendContext) error {
 func yarnContainerBody(bc *BackendContext, u *Unit) yarn.ContainerBody {
 	return func(cp *sim.Proc, cc *yarn.Container) {
 		node := cc.NodeManager().Node()
-		for i := 0; i < bc.Profile.UnitWrapperOps; i++ {
-			node.Disk.Touch(cp)
-		}
+		node.Disk.TouchN(cp, bc.Profile.UnitWrapperOps)
 		cp.Sleep(bc.Jitter(bc.Profile.UnitWrapperSetup))
 		bc.RunUnitBody(cp, u, node, node.Disk)
 	}

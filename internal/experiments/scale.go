@@ -59,6 +59,13 @@ type ScaleRow struct {
 	TurnP95 time.Duration `json:"turn_p95"`
 	// Events is the flight-recorder stream length the cell produced.
 	Events int `json:"events"`
+	// SimEvents, Parks and Switches are the engine's work counters for
+	// the cell (sim.Engine.Stats): events popped, blocking calls, and
+	// handoffs of control between processes. Like BindPasses they are
+	// deterministic per seed, so CI can gate them tightly.
+	SimEvents int64 `json:"sim_events"`
+	Parks     int64 `json:"parks"`
+	Switches  int64 `json:"switches"`
 }
 
 // scalePilots sizes the pilot fleet for n units: grows with the
@@ -174,6 +181,7 @@ func runScaleCell(seed int64, n int) (*ScaleRow, error) {
 	wallStart := time.Now()
 	eng.Run()
 	row.Wall = time.Since(wallStart)
+	row.SimEvents, row.Parks, row.Switches, _ = eng.Stats()
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -286,6 +294,9 @@ func WriteScaleBenchJSON(w io.Writer, rows []*ScaleRow) error {
 				"turn-p50-s":   r.TurnP50.Seconds(),
 				"turn-p95-s":   r.TurnP95.Seconds(),
 				"trace-events": float64(r.Events),
+				"sim-events":   float64(r.SimEvents),
+				"parks":        float64(r.Parks),
+				"switches":     float64(r.Switches),
 			},
 		})
 	}

@@ -1,8 +1,11 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
 	"io"
+	"iter"
 	"time"
 )
 
@@ -18,18 +21,15 @@ type Engine struct {
 	seq   uint64
 	queue eventQueue
 
-	// caller is the goroutine that called Run or Close. Control returns
-	// to it when a run ends and after each kill in Close.
-	caller *worker
-	// free holds idle pooled goroutines, most recently idled first.
+	// free holds idle pooled coroutines, most recently idled first.
 	free *worker
 	// woken and wokenKind are the process the current event woke and how;
-	// the goroutine running the loop switches to it once the callback
+	// the coroutine running the loop switches to it once the callback
 	// returns. wokenKind is also how the woken process learns why it woke.
 	woken     *Proc
 	wokenKind wakeKind
 	// inCallback is set while an At callback runs, so a panic in one is
-	// never mistaken for the death of the process whose goroutine ran it.
+	// never mistaken for the death of the process whose coroutine ran it.
 	inCallback bool
 
 	// head and tail link the live processes in spawn order, so that
@@ -53,11 +53,21 @@ type Engine struct {
 	// curDaemon tracks whether the currently executing context is a
 	// daemon, so newly scheduled callbacks inherit it.
 	curDaemon bool
+
+	// events, parks and switches are work counters; see Stats.
+	events, parks, switches int64
 }
 
 // NewEngine returns a ready-to-use engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{caller: &worker{ch: make(chan struct{}), started: true}}
+func NewEngine() *Engine { return &Engine{} }
+
+// Stats reports the engine's work since it was created: events popped
+// from the queue (wakes and callbacks), parks (blocking calls such as
+// Sleep and Wait), switches (handoffs of control to another process's
+// coroutine; a wake of the parking process itself is none) and spawns.
+// The counts depend only on the simulated work, not on the host.
+func (e *Engine) Stats() (events, parks, switches, spawns int64) {
+	return e.events, e.parks, e.switches, int64(e.nspawned)
 }
 
 // Now reports the current virtual time as an offset from the start of the
@@ -213,7 +223,9 @@ func (e *Engine) RunUntil(horizon time.Duration) {
 	e.running = true
 	e.horizon = horizon
 	defer func() { e.running, e.inCallback = false, false }()
-	e.dispatch(e.caller)
+	for w := e.pick(nil); w != nil; {
+		w, _ = w.resume()
+	}
 	e.curDaemon = false
 	if horizon > e.now {
 		e.now = horizon
@@ -228,6 +240,7 @@ func (e *Engine) next() *Proc {
 			break
 		}
 		it := e.queue.pop()
+		e.events++
 		if !it.daemon {
 			e.nonDaemon--
 		}
@@ -248,79 +261,74 @@ func (e *Engine) next() *Proc {
 	return nil
 }
 
-// dispatch runs the event loop on self, the goroutine that holds control,
-// until an event wakes a process or the run ends. It then passes control
-// to the woken process, or to Run's caller, and returns once control is
-// back with self. A wake of self's own process returns with no switch.
+// dispatch runs the event loop on self, the worker that holds control,
+// until an event wakes a process or the run ends. A wake of self's own
+// process returns at once. Otherwise self yields the worker to resume
+// next (nil: Run's caller) to the trampoline in RunUntil, and dispatch
+// returns once self is resumed, or stopped by Close if it was idle.
 func (e *Engine) dispatch(self *worker) {
 	to := e.pick(self)
 	if to == self {
 		return
 	}
-	if e.idle(self) {
+	if self.p == nil {
 		self.next, e.free = e.free, self
 	}
-	e.handoff(to)
-	<-self.ch
+	self.yield(to)
 }
 
-// idle reports whether w is a pooled goroutine with no process.
-func (e *Engine) idle(w *worker) bool { return w.p == nil && w != e.caller }
-
-// pick runs events until one wakes a process and returns the goroutine
-// that should run next: the woken process's, or Run's caller's once the
-// run is over. Outside Run, Close is killing processes, and control goes
+// pick runs events until one wakes a process and returns the worker that
+// should run next: the woken process's, or nil for Run's caller once the
+// run is over. self is the worker running the loop, nil for Run's
+// caller. Outside Run, Close is killing processes, and control goes
 // straight back to it.
 func (e *Engine) pick(self *worker) *worker {
 	if !e.running {
-		return e.caller
+		return nil
 	}
 	p := e.next()
 	if p == nil {
-		return e.caller
+		return nil
 	}
 	e.curDaemon = p.daemon // schedules from process context inherit
 	if p.w == nil {
 		e.start(self, p)
 	}
+	if p.w != self {
+		e.switches++
+	}
 	return p.w
 }
 
-// start binds a process that has not run yet to a goroutine: self when
-// self is an idle worker, else a pooled one, else a new one.
+// start binds a process that has not run yet to a worker: self when self
+// is idle, else a pooled one, else a new one.
 func (e *Engine) start(self *worker, p *Proc) {
 	w := self
 	switch {
-	case e.idle(self):
+	case self != nil && self.p == nil:
 	case e.free != nil:
 		w, e.free = e.free, e.free.next
 		w.next = nil
 	default:
-		w = &worker{ch: make(chan struct{})}
+		w = e.newWorker()
 	}
 	w.p, p.w = p, w
 }
 
-// handoff passes control to the goroutine of to, starting it if it is new.
-// The caller must block or exit right after, touching no engine state.
-func (e *Engine) handoff(to *worker) {
-	if to.started {
-		to.ch <- struct{}{}
-		return
-	}
-	to.started = true
-	go e.work(to)
-}
-
-// work is the body of a pooled goroutine. It runs one process after
-// another, keeping the stack it has grown, until Close finds it idle.
-func (e *Engine) work(w *worker) {
-	for w.p != nil {
-		w.p.run()
-		w.p = nil
-		e.dispatch(w)
-	}
-	e.caller.ch <- struct{}{}
+// newWorker returns a coroutine that runs one process after another,
+// keeping the stack it has grown, until Close stops it while idle. It
+// starts on its first resume, with its first process already bound.
+func (e *Engine) newWorker() *worker {
+	w := new(worker)
+	w.resume, w.stop = iter.Pull(func(yield func(*worker) bool) {
+		w.yield = yield
+		for w.p != nil {
+			w.p.run()
+			w.p = nil
+			e.dispatch(w)
+		}
+	})
+	return w
 }
 
 // Close terminates all still-live processes in spawn order and discards
@@ -338,14 +346,13 @@ func (e *Engine) Close() {
 			continue
 		}
 		e.wokenKind = wakeKilled
-		e.handoff(p.w)
-		<-e.caller.ch
+		if _, ok := p.w.resume(); !ok {
+			p.finish() // its coroutine died with a callback's panic
+		}
 	}
-	// Idle workers see no process and exit.
 	for w := e.free; w != nil; w = e.free {
 		e.free = w.next
-		e.handoff(w)
-		<-e.caller.ch
+		w.stop()
 	}
 	e.queue = nil
 	e.nonDaemon = 0

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package sim
 
 // Event is a one-shot condition in virtual time. Any number of processes

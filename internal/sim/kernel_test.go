@@ -163,10 +163,12 @@ func TestOneEventWakingTwoProcessesPanics(t *testing.T) {
 	}
 }
 
-// TestGoexitInProcessPassesControlOn: a process whose goroutine exits
+// TestGoexitInProcessPassesControlOn: a process whose coroutine exits
 // through runtime.Goexit (a test's FailNow) ends like a returned one, and
-// the run goes on without its goroutine.
+// the run goes on without its coroutine. That coroutine stays suspended
+// for good: Close returns, and leaves at most one goroutine behind.
 func TestGoexitInProcessPassesControlOn(t *testing.T) {
+	base := settledGoroutines()
 	e := NewEngine()
 	cleaned := false
 	e.Spawn("quitter", func(p *Proc) {
@@ -187,7 +189,102 @@ func TestGoexitInProcessPassesControlOn(t *testing.T) {
 	if e.Processes() != 0 {
 		t.Fatalf("%d live processes, want 0", e.Processes())
 	}
+	returned := make(chan bool, 1)
+	go func() {
+		ok := false
+		defer func() { returned <- ok }()
+		e.Close()
+		ok = true
+	}()
+	if !<-returned {
+		t.Fatal("Close did not return: the process's Goexit reached its caller")
+	}
+	if got := waitGoroutines(base + 1); got > base+1 {
+		t.Fatalf("%d goroutines after Close, want at most the baseline %d plus one", got, base)
+	}
+}
+
+// TestCloseAfterRecoveredCallbackPanic: a callback's panic ends the
+// coroutine that ran it and reaches Run's caller. If the caller recovers
+// it, Close still finishes the process whose coroutine died, and returns.
+func TestCloseAfterRecoveredCallbackPanic(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+	e.At(time.Second, func() { panic("callback boom") })
+	func() {
+		defer func() {
+			if r := recover(); r != "callback boom" {
+				t.Fatalf("Run recovered %v, want the callback's panic", r)
+			}
+		}()
+		e.Run() // the sleeper's coroutine runs the callback
+	}()
 	e.Close()
+	if e.Processes() != 0 {
+		t.Fatalf("%d live processes after Close, want 0", e.Processes())
+	}
+}
+
+// TestProcessPanicNamesItsProcess: a panic in a process body reaches
+// Run's caller with the process's name and the virtual time attached.
+// The crash happens in a child copy of the test binary.
+func TestProcessPanicNamesItsProcess(t *testing.T) {
+	if os.Getenv("SIM_PROCESS_PANIC_CHILD") == "1" {
+		e := NewEngine()
+		e.Spawn("bystander", func(p *Proc) { p.Sleep(time.Hour) })
+		e.Spawn("boom", func(p *Proc) {
+			p.Sleep(time.Second)
+			panic("process boom")
+		})
+		e.Run()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestProcessPanicNamesItsProcess$")
+	cmd.Env = append(os.Environ(), "SIM_PROCESS_PANIC_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("child exited cleanly; output:\n%s", out)
+	}
+	if !strings.Contains(string(out), `sim: process "boom" panicked at 1s: process boom`) {
+		t.Fatalf("child did not crash with the named process panic; output:\n%s", out)
+	}
+}
+
+// TestStatsCountKernelWork pins the work counters on a fixed scenario:
+// three ping-pong round trips through Events beside a sleeper. Every
+// wake hands control to another process's coroutine except the
+// sleeper's last three, which it wakes itself while it runs the loop.
+func TestStatsCountKernelWork(t *testing.T) {
+	e := NewEngine()
+	var ping, pong [3]*Event
+	for i := range ping {
+		ping[i], pong[i] = NewEvent(e), NewEvent(e)
+	}
+	e.Spawn("ping", func(p *Proc) {
+		for i := range ping {
+			ping[i].Trigger()
+			p.Wait(pong[i])
+		}
+	})
+	e.Spawn("pong", func(p *Proc) {
+		for i := range ping {
+			p.Wait(ping[i]) // already triggered on the first round: a yield
+			pong[i].Trigger()
+		}
+	})
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			p.Sleep(time.Second)
+		}
+	})
+	e.Run()
+	e.Close()
+	// 3 starts, 1 yield, 5 ping-pong wakes, 4 sleeps; 3 + 3 + 4 parks.
+	events, parks, switches, spawns := e.Stats()
+	if events != 13 || parks != 10 || switches != 10 || spawns != 3 {
+		t.Fatalf("Stats() = %d events, %d parks, %d switches, %d spawns; want 13, 10, 10, 3",
+			events, parks, switches, spawns)
+	}
 }
 
 // TestCallbackPanicIsReportedUnchanged: an At callback may run on the

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package sim
 
 import (
@@ -5,7 +7,7 @@ import (
 	"time"
 )
 
-// errStopped is the sentinel used to unwind a process goroutine when the
+// errStopped is the sentinel used to unwind a process coroutine when the
 // engine shuts down. It must never escape the kernel.
 type stoppedError struct{ p *Proc }
 
@@ -66,7 +68,7 @@ type Proc struct {
 	namer fmt.Stringer
 	id    int
 	fn    func(p *Proc) // the body, until the process starts
-	// w is the goroutine running the process, nil before it starts and
+	// w is the coroutine running the process, nil before it starts and
 	// after it finishes.
 	w *worker
 	// start is the waiter the spawn event wakes.
@@ -93,14 +95,16 @@ type Proc struct {
 	hasPendingInt bool
 }
 
-// worker is a pooled goroutine that runs processes one after another, or
-// the goroutine that called Run. Whoever holds control runs the event
-// loop; the others block on their ch until control is handed to them.
+// worker is a pooled iter.Pull coroutine that runs processes one after
+// another. Only Run's caller (and Close) resume workers. The worker that
+// holds control runs the event loop, and yields the worker to resume
+// next, or nil to end the run.
 type worker struct {
-	ch      chan struct{}
-	p       *Proc   // the process it runs; nil while idle
-	next    *worker // next idle worker on the engine's free list
-	started bool    // its goroutine exists
+	resume func() (*worker, bool)
+	stop   func()
+	yield  func(*worker) bool
+	p      *Proc   // the process it runs; nil while idle
+	next   *worker // next idle worker on the engine's free list
 }
 
 // Interrupt requests that p's current (or, if it is running, next)
@@ -149,6 +153,11 @@ func (p *Proc) Now() time.Duration { return p.eng.now }
 // kernel callback. The returned Proc must only be used by other processes
 // to call Interrupt or to inspect identity; all blocking methods remain
 // exclusive to the spawned function.
+//
+// fn may end through runtime.Goexit (a test's FailNow): the process ends
+// as if fn had returned, and the run goes on. Its coroutine then stays
+// suspended for good, one goroutine per such exit, because finishing it
+// would propagate the Goexit into the caller of Run or Close.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAfter(0, name, fn)
 }
@@ -196,16 +205,16 @@ func (e *Engine) spawn(d time.Duration, name string, daemon bool, fn func(p *Pro
 	return p
 }
 
-// run executes the process body on the calling goroutine and settles its
-// end. It returns with the goroutine holding control.
+// run executes the process body on its worker's coroutine and settles
+// its end. It returns with the coroutine holding control.
 func (p *Proc) run() {
-	e := p.eng
+	e, w := p.eng, p.w
 	returned := false
 	defer func() {
 		if e.inCallback {
-			// An At callback panicked while this goroutine ran the event
-			// loop: the panic is not the process's, so let it crash the
-			// program unchanged.
+			// An At callback panicked while this coroutine ran the event
+			// loop: the panic is not the process's, so let it reach Run's
+			// caller unchanged.
 			return
 		}
 		r := recover()
@@ -213,17 +222,19 @@ func (p *Proc) run() {
 		switch r.(type) {
 		case nil:
 			if !returned {
-				// runtime.Goexit (a test's FailNow): this goroutine
-				// ends, so pass control on without it.
-				e.handoff(e.pick(e.caller))
+				// runtime.Goexit (a test's FailNow): pass control on
+				// as Run's caller would, so the next process never
+				// starts on this coroutine, and never resume it.
+				w.yield(e.pick(nil))
 			}
 		case stoppedError, *Interrupted:
 			// Killed by Close, or an unhandled interrupt: the process
 			// ends cleanly, like a signal-killed task; defers have run.
 		default:
 			// A real panic in simulation code: surface it with the
-			// process identity attached. This crashes the program,
-			// which is the desired behaviour for a kernel-level bug.
+			// process identity attached. iter.Pull re-panics it in
+			// Run's caller, which crashes the program: the desired
+			// behaviour for a kernel-level bug.
 			panic(fmt.Sprintf("sim: process %q panicked at %s: %v", p.Name(), e.now, r))
 		}
 	}()
@@ -314,6 +325,7 @@ func (p *Proc) parkOn(w *waiter) wakeKind {
 		panic("sim: blocking call from an event callback")
 	}
 	p.cur = w
+	e.parks++
 	// Blocking in a defer while Close kills the process hands control
 	// back to Close, which kills it again.
 	e.dispatch(p.w)

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package sim
 
 // Queue is an unbounded FIFO channel in virtual time. Producers never

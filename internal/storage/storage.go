@@ -66,9 +66,17 @@ func NewLocalDisk(e *sim.Engine, name string, bytesPerSec float64, opLat sim.Dur
 
 func (d *LocalDisk) Name() string { return d.name }
 
-func (d *LocalDisk) Touch(p *sim.Proc) {
-	d.stats.Ops++
-	p.Sleep(d.opLat)
+func (d *LocalDisk) Touch(p *sim.Proc) { d.TouchN(p, 1) }
+
+// TouchN charges n metadata operations issued back to back as one wait
+// of n·opLat: the same ops and virtual time as n Touch calls, with one
+// park instead of n. n ≤ 0 does nothing, not even a yield.
+func (d *LocalDisk) TouchN(p *sim.Proc, n int) {
+	if n <= 0 {
+		return
+	}
+	d.stats.Ops += n
+	p.Sleep(sim.Duration(int64(d.opLat) * int64(n)))
 }
 
 func (d *LocalDisk) Read(p *sim.Proc, bytes int64) {

@@ -26,6 +26,47 @@ func TestLocalDiskReadTime(t *testing.T) {
 	}
 }
 
+// TestLocalDiskTouchNMatchesTouchLoop: TouchN charges what a loop of
+// Touch calls does, in one park; n ≤ 0 neither parks nor yields, so a
+// process spawned later at the same instant still runs after it.
+func TestLocalDiskTouchNMatchesTouchLoop(t *testing.T) {
+	charge := func(touch func(d *LocalDisk, p *sim.Proc)) (done time.Duration, ops int, parks int64) {
+		e := sim.NewEngine()
+		d := NewLocalDisk(e, "disk", 100e6, 3*time.Millisecond)
+		e.Spawn("t", func(p *sim.Proc) { touch(d, p) })
+		e.Run()
+		_, parks, _, _ = e.Stats()
+		return e.Now(), d.Stats().Ops, parks
+	}
+	loopDone, loopOps, loopParks := charge(func(d *LocalDisk, p *sim.Proc) {
+		for i := 0; i < 7; i++ {
+			d.Touch(p)
+		}
+	})
+	done, ops, parks := charge(func(d *LocalDisk, p *sim.Proc) { d.TouchN(p, 7) })
+	if loopDone != 21*time.Millisecond || loopOps != 7 || loopParks != 7 ||
+		done != loopDone || ops != loopOps || parks != 1 {
+		t.Fatalf("Touch loop: %v, %d ops, %d parks; TouchN: %v, %d ops, %d parks; want 21ms, 7, 7 and 21ms, 7, 1",
+			loopDone, loopOps, loopParks, done, ops, parks)
+	}
+
+	e := sim.NewEngine()
+	d := NewLocalDisk(e, "disk", 100e6, 3*time.Millisecond)
+	var order []string
+	e.Spawn("a", func(p *sim.Proc) {
+		d.TouchN(p, 0)
+		d.TouchN(p, -2)
+		order = append(order, "a")
+	})
+	e.Spawn("b", func(p *sim.Proc) { order = append(order, "b") })
+	e.Run()
+	if _, parks, _, _ := e.Stats(); parks != 0 || d.Stats().Ops != 0 || e.Now() != 0 ||
+		len(order) != 2 || order[0] != "a" {
+		t.Fatalf("TouchN(0) and TouchN(-2): %d parks, %d ops, clock %v, order %v; want 0, 0, 0s, [a b]",
+			parks, d.Stats().Ops, e.Now(), order)
+	}
+}
+
 func TestLocalDiskSharedAmongNodeTasks(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewLocalDisk(e, "disk", 100e6, 0)
