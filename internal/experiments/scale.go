@@ -59,13 +59,15 @@ type ScaleRow struct {
 	TurnP95 time.Duration `json:"turn_p95"`
 	// Events is the flight-recorder stream length the cell produced.
 	Events int `json:"events"`
-	// SimEvents, Parks and Switches are the engine's work counters for
-	// the cell (sim.Engine.Stats): events popped, blocking calls, and
-	// handoffs of control between processes. Like BindPasses they are
-	// deterministic per seed, so CI can gate them tightly.
+	// SimEvents, Parks, Switches and Spawns are the engine's work
+	// counters for the cell (sim.Engine.Stats): events popped, blocking
+	// calls, handoffs of control between processes, and processes
+	// spawned. Like BindPasses they are deterministic per seed, so CI can
+	// gate them tightly.
 	SimEvents int64 `json:"sim_events"`
 	Parks     int64 `json:"parks"`
 	Switches  int64 `json:"switches"`
+	Spawns    int64 `json:"spawns"`
 }
 
 // scalePilots sizes the pilot fleet for n units: grows with the
@@ -181,7 +183,7 @@ func runScaleCell(seed int64, n int) (*ScaleRow, error) {
 	wallStart := time.Now()
 	eng.Run()
 	row.Wall = time.Since(wallStart)
-	row.SimEvents, row.Parks, row.Switches, _ = eng.Stats()
+	row.SimEvents, row.Parks, row.Switches, row.Spawns = eng.Stats()
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -297,6 +299,7 @@ func WriteScaleBenchJSON(w io.Writer, rows []*ScaleRow) error {
 				"sim-events":   float64(r.SimEvents),
 				"parks":        float64(r.Parks),
 				"switches":     float64(r.Switches),
+				"spawns":       float64(r.Spawns),
 			},
 		})
 	}

@@ -116,9 +116,9 @@ func TestScaleSweepDeterministicVirtualTime(t *testing.T) {
 	if a.Events != b.Events {
 		t.Errorf("event counts vary: %d vs %d", a.Events, b.Events)
 	}
-	if a.SimEvents != b.SimEvents || a.Parks != b.Parks || a.Switches != b.Switches {
-		t.Errorf("engine work varies: %d/%d/%d vs %d/%d/%d events/parks/switches",
-			a.SimEvents, a.Parks, a.Switches, b.SimEvents, b.Parks, b.Switches)
+	if a.SimEvents != b.SimEvents || a.Parks != b.Parks || a.Switches != b.Switches || a.Spawns != b.Spawns {
+		t.Errorf("engine work varies: %d/%d/%d/%d vs %d/%d/%d/%d events/parks/switches/spawns",
+			a.SimEvents, a.Parks, a.Switches, a.Spawns, b.SimEvents, b.Parks, b.Switches, b.Spawns)
 	}
 }
 

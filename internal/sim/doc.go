@@ -41,6 +41,20 @@
 // share capacity with Resource and SharedLink (a processor-sharing
 // bandwidth model), and exchange values through Queue.
 //
+// # Waits
+//
+// Each Proc owns one wait slot: a generation counter and an armed flag.
+// A blocking call takes the next generation, arms the slot, and hands the
+// value {process, generation} to whatever may end the wait: a timer item
+// in the event queue, an Event's waiter list, a SharedLink flow, a
+// Resource or Queue waiter record. Nothing is allocated per wait. A wake
+// takes effect only if its generation is the process's current one and
+// the slot is still armed, and taking effect disarms it. Any other wake is
+// stale and does nothing: the timer of an interrupted Sleep, the timeout
+// of a WaitTimeout its event already won, the completion of a transfer or
+// the grant of an Acquire whose interrupt landed first. Stale wakes stay
+// in the queue, so every virtual-time result keeps its event order.
+//
 // # Shutdown
 //
 // Engine.Run returns when the event queue drains. Processes still blocked

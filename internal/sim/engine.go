@@ -29,8 +29,10 @@ type Engine struct {
 	woken     *Proc
 	wokenKind wakeKind
 	// inCallback is set while an At callback runs, so a panic in one is
-	// never mistaken for the death of the process whose coroutine ran it.
+	// never mistaken for the death of the process whose coroutine ran it;
+	// cbSeq is that callback's sequence number.
 	inCallback bool
+	cbSeq      uint64
 
 	// head and tail link the live processes in spawn order, so that
 	// shutdown is deterministic; live counts them.
@@ -100,16 +102,16 @@ func (e *Engine) Tracef(format string, args ...any) {
 	}
 }
 
-// item is a scheduled event: either a wake of waiter w with kind, or a
+// item is a scheduled event: either a wake of wait w with kind, or a
 // callback fn. Callbacks run in kernel context: they must not block in
 // virtual time (use Spawn for blocking logic).
 type item struct {
 	at     time.Duration
 	seq    uint64
+	w      wait
+	fn     func()
 	daemon bool
 	kind   wakeKind
-	w      *waiter
-	fn     func()
 }
 
 // eventQueue is a binary min-heap of items ordered by (at, seq). Sifts
@@ -140,7 +142,7 @@ func (q *eventQueue) pop() item {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = item{} // release the callback and waiter for collection
+	h[n] = item{} // release the callback and process for collection
 	h = h[:n]
 	if n > 0 {
 		i := 0
@@ -165,9 +167,9 @@ func (q *eventQueue) pop() item {
 }
 
 // schedule enqueues an event at absolute virtual time at: a wake of w with
-// kind, or the callback fn when w is nil. Times in the past are clamped to
-// the current time.
-func (e *Engine) schedule(at time.Duration, daemon bool, w *waiter, kind wakeKind, fn func()) {
+// kind, or the callback fn when w is the zero wait. Times in the past are
+// clamped to the current time. It returns the event's sequence number.
+func (e *Engine) schedule(at time.Duration, daemon bool, w wait, kind wakeKind, fn func()) uint64 {
 	if e.closed {
 		panic("sim: schedule on closed engine")
 	}
@@ -178,27 +180,32 @@ func (e *Engine) schedule(at time.Duration, daemon bool, w *waiter, kind wakeKin
 	if !daemon {
 		e.nonDaemon++
 	}
-	e.queue.push(item{at: at, seq: e.seq, daemon: daemon, kind: kind, w: w, fn: fn})
+	e.queue.push(item{at: at, seq: e.seq, w: w, fn: fn, daemon: daemon, kind: kind})
+	return e.seq
+}
+
+// signal schedules a wake of w at the current time. The wake inherits the
+// woken process's daemon-ness, not the signalling context's: a daemon
+// completing work for a normal process must still count as normal
+// activity.
+func (e *Engine) signal(w wait) {
+	e.schedule(e.now, w.p.daemon, w, wakeFired, nil)
 }
 
 // At schedules fn to run in kernel context after delay d. fn must not call
 // blocking process methods; spawn a process for logic that needs to wait.
 // A negative delay is treated as zero. Callbacks scheduled from daemon
 // context are daemon callbacks (they do not keep the simulation alive).
-func (e *Engine) At(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.schedule(e.now+d, e.curDaemon, nil, 0, fn)
-}
+func (e *Engine) At(d time.Duration, fn func()) { e.after(d, e.curDaemon, fn) }
 
 // AtDaemon schedules a maintenance callback (timeout enforcement,
 // heartbeat checks) that never keeps the simulation alive on its own.
-func (e *Engine) AtDaemon(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.schedule(e.now+d, true, nil, 0, fn)
+func (e *Engine) AtDaemon(d time.Duration, fn func()) { e.after(d, true, fn) }
+
+// after schedules callback fn after delay d, clamped at zero, and returns
+// its sequence number.
+func (e *Engine) after(d time.Duration, daemon bool, fn func()) uint64 {
+	return e.schedule(e.now+d, daemon, wait{}, 0, fn)
 }
 
 // Run executes events until the simulation quiesces: the queue is empty,
@@ -246,10 +253,10 @@ func (e *Engine) next() *Proc {
 		}
 		e.now = it.at
 		e.curDaemon = it.daemon
-		if it.w != nil {
+		if it.w.p != nil {
 			it.w.wake(it.kind)
 		} else {
-			e.inCallback = true
+			e.inCallback, e.cbSeq = true, it.seq
 			it.fn()
 			e.inCallback = false
 		}

@@ -4,11 +4,14 @@ package sim
 
 // Event is a one-shot condition in virtual time. Any number of processes
 // may Wait on it; Trigger wakes all of them. Events are not reusable:
-// after Trigger, Wait returns immediately.
+// after Trigger, Wait returns immediately. The first waiting process is
+// held inline and only later ones go into a slice, so an Event with one
+// waiter allocates nothing beyond itself.
 type Event struct {
 	eng       *Engine
 	triggered bool
-	waiters   []*waiter
+	first     wait   // the first waiter; zero when none
+	more      []wait // later waiters, in the order they began waiting
 }
 
 // NewEvent creates an untriggered event bound to e.
@@ -16,6 +19,15 @@ func NewEvent(e *Engine) *Event { return &Event{eng: e} }
 
 // Triggered reports whether Trigger has been called.
 func (ev *Event) Triggered() bool { return ev.triggered }
+
+// add registers w as the next waiter.
+func (ev *Event) add(w wait) {
+	if ev.first.p == nil {
+		ev.first = w
+	} else {
+		ev.more = append(ev.more, w)
+	}
+}
 
 // Trigger fires the event, waking all waiting processes at the current
 // virtual time in the order they began waiting. Trigger is idempotent.
@@ -25,12 +37,12 @@ func (ev *Event) Trigger() {
 		return
 	}
 	ev.triggered = true
-	ws := ev.waiters
-	ev.waiters = nil
-	for _, w := range ws {
-		// The wake inherits the woken process's daemon-ness, not the
-		// triggering context's: a daemon completing work for a normal
-		// process must still count as normal activity.
-		ev.eng.schedule(ev.eng.now, w.p.daemon, w, wakeFired, nil)
+	if ev.first.p == nil {
+		return
 	}
+	ev.eng.signal(ev.first)
+	for _, w := range ev.more {
+		ev.eng.signal(w)
+	}
+	ev.first, ev.more = wait{}, nil
 }

@@ -70,6 +70,26 @@ func TestInterruptFinishedProcessIsNoop(t *testing.T) {
 	e.Run() // must not panic or wake anything
 }
 
+// TestInterruptBeforeStartDeliversAtFirstBlock: an interrupt that lands
+// before the process starts is delivered at its first blocking call, and
+// that call's timer, left in the queue, wakes nothing once the process has
+// finished.
+func TestInterruptBeforeStartDeliversAtFirstBlock(t *testing.T) {
+	e := NewEngine()
+	var intr *Interrupted
+	victim := e.SpawnAfter(5*time.Second, "victim", func(p *Proc) {
+		intr = OnInterrupt(func() { p.Sleep(10 * time.Second) })
+	})
+	victim.Interrupt("early")
+	e.Run()
+	if intr == nil || intr.Reason != "early" {
+		t.Fatalf("interrupt = %+v, want reason early", intr)
+	}
+	if e.Now() != 15*time.Second || e.Processes() != 0 {
+		t.Fatalf("run ended at %v with %d live processes, want 15s and 0", e.Now(), e.Processes())
+	}
+}
+
 func TestInterruptLosesToEarlierWake(t *testing.T) {
 	// The event fires at the same timestamp but is scheduled before the
 	// interrupt: the process must complete the wait normally and see the
@@ -146,6 +166,33 @@ func TestInterruptedQueueGetPreservesItems(t *testing.T) {
 	e.Run()
 	if got != 42 {
 		t.Fatalf("item lost to interrupted consumer: got %d", got)
+	}
+}
+
+// TestInterruptedQueueGetPutsHandedItemBack: an item handed to a consumer
+// whose interrupt lands before its wake goes back to the head of the
+// queue, ahead of items put after it.
+func TestInterruptedQueueGetPutsHandedItemBack(t *testing.T) {
+	e := NewEngine()
+	q := NewQueue[int](e)
+	var victim *Proc
+	victim = e.Spawn("victim", func(p *Proc) {
+		q.Get(p)
+		t.Error("get should have been interrupted")
+	})
+	e.At(time.Second, func() {
+		victim.Interrupt(nil) // queued ahead of the wake Put schedules
+		q.Put(42)             // handed to the victim
+		q.Put(43)             // buffered
+	})
+	var got []int
+	e.Spawn("other", func(p *Proc) {
+		p.Sleep(2 * time.Second)
+		got = append(got, q.Get(p), q.Get(p))
+	})
+	e.Run()
+	if len(got) != 2 || got[0] != 42 || got[1] != 43 {
+		t.Fatalf("got %v, want [42 43]: the handed item put back at the head", got)
 	}
 }
 

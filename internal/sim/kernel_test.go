@@ -146,8 +146,8 @@ func TestOneEventWakingTwoProcessesPanics(t *testing.T) {
 	b := e.Spawn("b", func(p *Proc) { p.Wait(NewEvent(e)) })
 	e.Run()
 	e.At(0, func() {
-		a.cur.wake(wakeFired)
-		b.cur.wake(wakeFired)
+		wait{a, a.gen}.wake(wakeFired)
+		wait{b, b.gen}.wake(wakeFired)
 	})
 	func() {
 		defer func() {
@@ -361,6 +361,22 @@ func BenchmarkSleep(b *testing.B) {
 	e.Spawn("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(time.Second)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkTransfer: one process moving data alone over a link, so every
+// completion wakes it with no switch.
+func BenchmarkTransfer(b *testing.B) {
+	e := NewEngine()
+	defer e.Close()
+	l := NewSharedLink(e, "disk", 1e9)
+	e.Spawn("mover", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			l.Transfer(p, 1<<20)
 		}
 	})
 	b.ReportAllocs()

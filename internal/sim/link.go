@@ -2,7 +2,10 @@
 
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SharedLink models a bandwidth-limited medium (disk, NIC, parallel
 // filesystem backend) under processor sharing: the total rate is divided
@@ -11,13 +14,19 @@ import "fmt"
 // first-order contention behaviour that drives the paper's I/O results
 // (e.g. Lustre saturating as shuffle volume grows) without simulating
 // individual requests.
+//
+// A blocked Transfer parks on its process's wait slot, with no Event. One
+// completion callback, built with the link, is in flight at a time:
+// rescheduling records the new callback's sequence number, and a
+// callback with any other number is stale and returns at once.
 type SharedLink struct {
 	eng  *Engine
 	rate float64 // total bytes/second
 
-	flows      []*flow
+	flows      []flow
 	lastUpdate Duration
-	gen        uint64 // invalidates scheduled completion callbacks
+	fire       func() // the completion callback
+	due        uint64 // sequence number of the live completion callback; 0 if none
 
 	// Busy accumulates the virtual time during which at least one flow
 	// was active; used for utilization reporting.
@@ -26,9 +35,12 @@ type SharedLink struct {
 	transfers int
 }
 
+// flow is one in-flight transfer: a blocked Transfer's wait w, or, when
+// w is zero, StartTransfer's done event.
 type flow struct {
 	size      float64
 	remaining float64
+	w         wait
 	done      *Event
 }
 
@@ -38,7 +50,13 @@ func NewSharedLink(e *Engine, name string, bytesPerSec float64) *SharedLink {
 	if bytesPerSec <= 0 {
 		panic(fmt.Sprintf("sim: link %q bandwidth must be positive, got %g", name, bytesPerSec))
 	}
-	return &SharedLink{eng: e, rate: bytesPerSec}
+	l := &SharedLink{eng: e, rate: bytesPerSec}
+	l.fire = func() {
+		if l.eng.cbSeq == l.due {
+			l.complete()
+		}
+	}
+	return l
 }
 
 // Active returns the number of in-flight transfers.
@@ -62,8 +80,8 @@ func (l *SharedLink) Transfer(p *Proc, bytes int64) {
 		return
 	}
 	l.advance()
-	f := &flow{size: float64(bytes), remaining: float64(bytes), done: NewEvent(l.eng)}
-	l.flows = append(l.flows, f)
+	w := p.arm()
+	l.flows = append(l.flows, flow{size: float64(bytes), remaining: float64(bytes), w: w})
 	l.reschedule()
 	defer func() {
 		e := recover()
@@ -73,16 +91,16 @@ func (l *SharedLink) Transfer(p *Proc, bytes int64) {
 		// The transfer was interrupted: abort the flow so it stops
 		// consuming bandwidth.
 		l.advance()
-		for i, cand := range l.flows {
-			if cand == f {
-				l.flows = append(l.flows[:i], l.flows[i+1:]...)
+		for i := range l.flows {
+			if l.flows[i].w == w {
+				l.flows = slices.Delete(l.flows, i, i+1)
 				break
 			}
 		}
 		l.reschedule()
 		panic(e)
 	}()
-	p.Wait(f.done)
+	p.park()
 }
 
 // StartTransfer begins a transfer and returns an event that triggers on
@@ -94,8 +112,7 @@ func (l *SharedLink) StartTransfer(bytes int64) *Event {
 		return ev
 	}
 	l.advance()
-	f := &flow{size: float64(bytes), remaining: float64(bytes), done: ev}
-	l.flows = append(l.flows, f)
+	l.flows = append(l.flows, flow{size: float64(bytes), remaining: float64(bytes), done: ev})
 	l.reschedule()
 	return ev
 }
@@ -111,7 +128,8 @@ func (l *SharedLink) advance() {
 	}
 	l.busy += Seconds(elapsed)
 	per := l.rate / float64(n) * elapsed
-	for _, f := range l.flows {
+	for i := range l.flows {
+		f := &l.flows[i]
 		f.remaining -= per
 		if f.remaining < 0 {
 			f.remaining = 0
@@ -122,7 +140,7 @@ func (l *SharedLink) advance() {
 // reschedule plans the next completion callback for the earliest-finishing
 // flow, invalidating any previously scheduled callback.
 func (l *SharedLink) reschedule() {
-	l.gen++
+	l.due = 0
 	n := len(l.flows)
 	if n == 0 {
 		return
@@ -140,13 +158,7 @@ func (l *SharedLink) reschedule() {
 		// nanoseconds, so force a minimal step to guarantee progress.
 		dt = 1
 	}
-	gen := l.gen
-	l.eng.At(dt, func() {
-		if gen != l.gen {
-			return
-		}
-		l.complete()
-	})
+	l.due = l.eng.after(dt, l.eng.curDaemon, l.fire)
 }
 
 // complete finishes all flows that have (numerically) run out of bytes.
@@ -167,15 +179,17 @@ func (l *SharedLink) complete() {
 		if f.remaining <= eps {
 			l.moved += f.size
 			l.transfers++
-			f.done.Trigger()
+			if f.w.p != nil {
+				l.eng.signal(f.w)
+			} else {
+				f.done.Trigger()
+			}
 		} else {
 			kept = append(kept, f)
 		}
 	}
 	// Zero trailing slots so finished flows are collectable.
-	for i := len(kept); i < len(l.flows); i++ {
-		l.flows[i] = nil
-	}
+	clear(l.flows[len(kept):])
 	l.flows = kept
 	l.reschedule()
 }

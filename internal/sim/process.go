@@ -13,7 +13,7 @@ type stoppedError struct{ p *Proc }
 
 func (e stoppedError) Error() string { return "sim: process stopped: " + e.p.Name() }
 
-type wakeKind int
+type wakeKind uint8
 
 const (
 	wakeFired       wakeKind = iota // the awaited condition happened
@@ -71,8 +71,6 @@ type Proc struct {
 	// w is the coroutine running the process, nil before it starts and
 	// after it finishes.
 	w *worker
-	// start is the waiter the spawn event wakes.
-	start waiter
 	// prev and next link the engine's live processes in spawn order.
 	prev, next *Proc
 	// set is the ProcSet the process belongs to, if any; sprev and snext
@@ -86,13 +84,20 @@ type Proc struct {
 	// simulation alive (see Engine.SpawnDaemon).
 	daemon bool
 
-	// cur is the waiter the process is currently parked on, if any.
-	cur *waiter
-	// pendingInt holds the reason of an interrupt that arrived while the
-	// process was running (or after its current wait had already been
-	// won); it is delivered at the next blocking point.
-	pendingInt    any
-	hasPendingInt bool
+	// gen and armed are the process's wait slot. Each wait takes the next
+	// gen; armed is set from then until a wake of that gen takes effect.
+	// A new process is armed at gen 0, for its spawn event's wake. A wake
+	// stamped with an older gen, or arriving once the slot is disarmed,
+	// is stale and does nothing. See wait.
+	gen   uint64
+	armed bool
+
+	// intReason is the reason of the interrupt being delivered. With
+	// intPending set, the interrupt arrived while the process was running
+	// (or after its current wait had already been won), and is delivered
+	// at the next blocking point.
+	intReason  any
+	intPending bool
 }
 
 // worker is a pooled iter.Pull coroutine that runs processes one after
@@ -120,16 +125,15 @@ func (p *Proc) Interrupt(reason any) {
 		if p.done {
 			return
 		}
-		if cw := p.cur; cw != nil && !cw.woken {
+		p.intReason = reason
+		if p.armed && p.w != nil {
 			// Blocked right now: unwind whatever wait it is in.
-			cw.intReason = reason
-			cw.wake(wakeInterrupted)
+			wait{p, p.gen}.wake(wakeInterrupted)
 			return
 		}
-		// Running, or its wake at this timestamp already won: deliver at
-		// the next blocking point.
-		p.pendingInt = reason
-		p.hasPendingInt = true
+		// Not started, running, or its wake at this timestamp already
+		// won: deliver at the next blocking point.
+		p.intPending = true
 	})
 }
 
@@ -189,8 +193,7 @@ func (e *Engine) spawn(d time.Duration, name string, daemon bool, fn func(p *Pro
 		panic("sim: Spawn on closed engine")
 	}
 	e.nspawned++
-	p := &Proc{eng: e, name: name, id: e.nspawned, daemon: daemon, fn: fn}
-	p.start.p = p
+	p := &Proc{eng: e, name: name, id: e.nspawned, daemon: daemon, fn: fn, armed: true}
 	if e.tail == nil {
 		e.head = p
 	} else {
@@ -201,7 +204,7 @@ func (e *Engine) spawn(d time.Duration, name string, daemon bool, fn func(p *Pro
 	if !daemon {
 		e.liveNormal++
 	}
-	e.schedule(e.now+d, daemon, &p.start, wakeFired, nil)
+	e.schedule(e.now+d, daemon, wait{p, 0}, wakeFired, nil)
 	return p
 }
 
@@ -310,58 +313,72 @@ func (s *ProcSet) Interrupt(reason any) {
 	}
 }
 
-// parkOn blocks the calling process on waiter w until something wakes it,
-// returning the wake kind. Must run in process context.
-func (p *Proc) parkOn(w *waiter) wakeKind {
-	if p.hasPendingInt {
-		reason := p.pendingInt
-		p.hasPendingInt = false
-		p.pendingInt = nil
-		w.woken = true // nobody should wake this waiter later
-		panic(&Interrupted{Reason: reason})
+// wait names one wait of a process: the process and the gen its slot
+// took for it. A wait is a value, so parking allocates nothing; event
+// queue items, Event, SharedLink, Resource and Queue hold it to wake the
+// process later. Several wakes may name the same wait (event trigger,
+// timeout, interrupt); only the first takes effect.
+type wait struct {
+	p   *Proc
+	gen uint64
+}
+
+// arm starts a new wait of p and returns it. The caller must park.
+func (p *Proc) arm() wait {
+	p.gen++
+	p.armed = true
+	return wait{p, p.gen}
+}
+
+// park blocks the calling process, which has armed a wait, until a wake
+// of that wait takes effect, and returns the wake kind. Must run in
+// process context.
+func (p *Proc) park() wakeKind {
+	if p.intPending {
+		p.intPending = false
+		p.armed = false // every wake already scheduled for this wait is stale
+		panic(p.interrupted())
 	}
 	e := p.eng
 	if e.inCallback {
 		panic("sim: blocking call from an event callback")
 	}
-	p.cur = w
 	e.parks++
 	// Blocking in a defer while Close kills the process hands control
 	// back to Close, which kills it again.
 	e.dispatch(p.w)
-	k := e.wokenKind
-	p.cur = nil
-	switch k {
+	switch k := e.wokenKind; k {
 	case wakeKilled:
 		panic(stoppedError{p})
 	case wakeInterrupted:
-		panic(&Interrupted{Reason: w.intReason})
+		panic(p.interrupted())
+	default:
+		return k
 	}
-	return k
 }
 
-// waiter represents one parked wait of a process. A waiter may be the
-// target of several potential wake-ups (event trigger, timeout,
-// interrupt); only the first takes effect.
-type waiter struct {
-	p         *Proc
-	woken     bool
-	intReason any
+// interrupted takes the reason of the interrupt being delivered.
+func (p *Proc) interrupted() *Interrupted {
+	reason := p.intReason
+	p.intReason = nil
+	return &Interrupted{Reason: reason}
 }
 
-// wake marks the waiting process to run next if this waiter has not been
-// woken yet. Must run in kernel context (an event of the queue), as the
-// last action of the event; one event wakes at most one process.
-func (w *waiter) wake(k wakeKind) {
-	if w.woken || w.p.done {
+// wake marks the waiting process to run next, unless w is stale: a wait
+// older than the process's current one, or one a wake already won. Must
+// run in kernel context (an event of the queue), as the last action of
+// the event; one event wakes at most one process.
+func (w wait) wake(k wakeKind) {
+	p := w.p
+	if !p.armed || w.gen != p.gen {
 		return
 	}
-	w.woken = true
-	e := w.p.eng
+	p.armed = false
+	e := p.eng
 	if e.woken != nil {
 		panic("sim: one event woke two processes")
 	}
-	e.woken, e.wokenKind = w.p, k
+	e.woken, e.wokenKind = p, k
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
@@ -371,9 +388,8 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	w := &waiter{p: p}
-	p.eng.schedule(p.eng.now+d, p.daemon, w, wakeFired, nil)
-	p.parkOn(w)
+	p.eng.schedule(p.eng.now+d, p.daemon, p.arm(), wakeFired, nil)
+	p.park()
 }
 
 // Yield gives up control until all events scheduled at the current
@@ -387,9 +403,8 @@ func (p *Proc) Wait(ev *Event) {
 		p.Yield()
 		return
 	}
-	w := &waiter{p: p}
-	ev.waiters = append(ev.waiters, w)
-	p.parkOn(w)
+	ev.add(p.arm())
+	p.park()
 }
 
 // WaitTimeout blocks until ev is triggered or d elapses. It reports
@@ -399,8 +414,8 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) bool {
 		p.Yield()
 		return true
 	}
-	w := &waiter{p: p}
-	ev.waiters = append(ev.waiters, w)
+	w := p.arm()
+	ev.add(w)
 	p.eng.schedule(p.eng.now+d, p.daemon, w, wakeTimeout, nil)
-	return p.parkOn(w) == wakeFired
+	return p.park() == wakeFired
 }

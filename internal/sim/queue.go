@@ -6,23 +6,24 @@ package sim
 // block; consumers block until an item is available. Multiple consumers
 // are served in the order they started waiting.
 //
-// Items live in a growable ring buffer: Put, TryGet and the interrupt
-// path's put-back are all O(1), and a queue that cycles millions of
-// events (the coordination store under a 10^5-unit sweep) reuses one
-// allocation instead of shedding backing arrays as the head advances.
+// Items, blocked consumers and handed-over items each live in a growable
+// ring buffer: Put, TryGet, a blocking Get and the interrupt path's
+// put-back are all O(1) and allocate nothing once the rings have grown,
+// and a queue that cycles millions of events (the coordination store
+// under a 10^5-unit sweep) reuses one allocation instead of shedding
+// backing arrays as the head advances.
 type Queue[T any] struct {
 	eng     *Engine
-	buf     []T
-	head    int
-	count   int
-	waiters []*qWaiter[T]
-	whead   int
+	items   ring[T]
+	waiters ring[wait] // blocked consumers, oldest first
+	// handed holds items Put gave to woken consumers that have not run
+	// yet, in the order it gave them.
+	handed ring[handoff[T]]
 }
 
-type qWaiter[T any] struct {
-	ev    *Event
-	item  T
-	given bool
+type handoff[T any] struct {
+	w wait
+	v T
 }
 
 // NewQueue creates an empty queue bound to e.
@@ -32,89 +33,26 @@ func NewQueue[T any](e *Engine) *Queue[T] {
 
 // Len returns the number of buffered items (items already handed to a
 // blocked consumer are not counted).
-func (q *Queue[T]) Len() int { return q.count }
-
-// grow doubles the ring, unwrapping it into the new backing array.
-func (q *Queue[T]) grow() {
-	size := 2 * len(q.buf)
-	if size == 0 {
-		size = 8
-	}
-	buf := make([]T, size)
-	for i := 0; i < q.count; i++ {
-		buf[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf = buf
-	q.head = 0
-}
-
-// pushBack appends v at the tail of the ring.
-func (q *Queue[T]) pushBack(v T) {
-	if q.count == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.count)%len(q.buf)] = v
-	q.count++
-}
-
-// pushFront prepends v at the head of the ring (the interrupt put-back).
-func (q *Queue[T]) pushFront(v T) {
-	if q.count == len(q.buf) {
-		q.grow()
-	}
-	q.head = (q.head - 1 + len(q.buf)) % len(q.buf)
-	q.buf[q.head] = v
-	q.count++
-}
-
-// popFront removes and returns the head item; the vacated slot is zeroed
-// so popped values do not pin garbage.
-func (q *Queue[T]) popFront() T {
-	var zero T
-	v := q.buf[q.head]
-	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
-	q.count--
-	return v
-}
-
-// nextWaiter dequeues the oldest live waiter, nil when none remain. The
-// waiter list compacts lazily: the head index advances past served and
-// withdrawn entries, and the slice resets once drained.
-func (q *Queue[T]) nextWaiter() *qWaiter[T] {
-	for q.whead < len(q.waiters) {
-		w := q.waiters[q.whead]
-		q.waiters[q.whead] = nil
-		q.whead++
-		if q.whead == len(q.waiters) {
-			q.waiters = q.waiters[:0]
-			q.whead = 0
-		}
-		if w != nil && !w.ev.Triggered() {
-			return w
-		}
-	}
-	return nil
-}
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Put appends v to the queue, waking the oldest waiting consumer if any.
 func (q *Queue[T]) Put(v T) {
-	if w := q.nextWaiter(); w != nil {
-		w.item = v
-		w.given = true
-		w.ev.Trigger()
+	if q.waiters.len() == 0 {
+		q.items.pushBack(v)
 		return
 	}
-	q.pushBack(v)
+	w := q.waiters.popFront()
+	q.handed.pushBack(handoff[T]{w, v})
+	q.eng.signal(w)
 }
 
 // TryGet removes and returns the head item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if q.count == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	return q.popFront(), true
+	return q.items.popFront(), true
 }
 
 // Get blocks p until an item is available and returns it. If the wait is
@@ -122,71 +60,140 @@ func (q *Queue[T]) TryGet() (T, bool) {
 // handed to it is put back at the head of the queue before the panic
 // propagates.
 func (q *Queue[T]) Get(p *Proc) T {
-	if v, ok := q.TryGet(); ok {
-		return v
-	}
-	w := &qWaiter[T]{ev: NewEvent(q.eng)}
-	q.waiters = append(q.waiters, w)
-	defer func() {
-		e := recover()
-		if e == nil {
-			return
-		}
-		q.withdraw(w)
-		panic(e)
-	}()
-	p.Wait(w.ev)
-	return w.item
-}
-
-// withdraw removes a (possibly already-served) waiter after interruption.
-func (q *Queue[T]) withdraw(w *qWaiter[T]) {
-	if w.given {
-		// The item was delivered but never consumed: put it back first.
-		q.pushFront(w.item)
-		var zero T
-		w.item = zero
-		w.given = false
-		return
-	}
-	w.ev.Trigger() // make Put (via nextWaiter) skip this waiter
-	for i := q.whead; i < len(q.waiters); i++ {
-		if q.waiters[i] == w {
-			q.waiters[i] = nil
-			break
-		}
-	}
+	v, _ := q.get(p, false, 0)
+	return v
 }
 
 // GetTimeout blocks p until an item is available or d elapses. The boolean
 // reports whether an item was received.
 func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (T, bool) {
+	return q.get(p, true, d)
+}
+
+// get is GetTimeout when timed, else Get.
+func (q *Queue[T]) get(p *Proc, timed bool, d Duration) (T, bool) {
 	if v, ok := q.TryGet(); ok {
 		return v, true
 	}
-	w := &qWaiter[T]{ev: NewEvent(q.eng)}
-	q.waiters = append(q.waiters, w)
+	w := p.arm()
+	q.waiters.pushBack(w)
+	if timed {
+		q.eng.schedule(q.eng.now+d, p.daemon, w, wakeTimeout, nil)
+	}
 	defer func() {
 		e := recover()
 		if e == nil {
 			return
 		}
-		q.withdraw(w)
+		if v, ok := q.take(w); ok {
+			// Delivered but never consumed: put it back first.
+			q.items.pushFront(v)
+		} else {
+			q.drop(w)
+		}
 		panic(e)
 	}()
-	fired := p.WaitTimeout(w.ev, d)
-	if !fired {
-		// Mark the waiter dead: trigger its event so nextWaiter skips it,
-		// and clear its slot eagerly.
-		w.ev.Trigger()
-		for i := q.whead; i < len(q.waiters); i++ {
-			if q.waiters[i] == w {
-				q.waiters[i] = nil
-				break
-			}
-		}
-		var zero T
-		return zero, false
+	p.park()
+	// An item Put handed over in the deadline's instant, before the
+	// timeout's wake ran, is still received.
+	if v, ok := q.take(w); ok {
+		return v, true
 	}
-	return w.item, w.given
+	q.drop(w) // timed out
+	var zero T
+	return zero, false
+}
+
+// take removes and returns the item handed to w, if any.
+func (q *Queue[T]) take(w wait) (T, bool) {
+	for i := 0; i < q.handed.len(); i++ {
+		if h := q.handed.at(i); h.w == w {
+			v := h.v
+			q.handed.remove(i)
+			return v, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// drop withdraws w from the blocked consumers, if it is still there.
+func (q *Queue[T]) drop(w wait) {
+	for i := 0; i < q.waiters.len(); i++ {
+		if *q.waiters.at(i) == w {
+			q.waiters.remove(i)
+			return
+		}
+	}
+}
+
+// ring is a growable FIFO ring buffer of values. Its length is zero or a
+// power of two, so indexes wrap with a mask.
+type ring[T any] struct {
+	buf   []T
+	head  int
+	count int
+}
+
+func (r *ring[T]) len() int { return r.count }
+
+// at returns the i-th value from the head.
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// grow doubles the ring, unwrapping it into the new backing array.
+func (r *ring[T]) grow() {
+	size := 2 * len(r.buf)
+	if size == 0 {
+		size = 8
+	}
+	buf := make([]T, size)
+	for i := 0; i < r.count; i++ {
+		buf[i] = *r.at(i)
+	}
+	r.buf = buf
+	r.head = 0
+}
+
+// pushBack appends v at the tail.
+func (r *ring[T]) pushBack(v T) {
+	if r.count == len(r.buf) {
+		r.grow()
+	}
+	r.count++
+	*r.at(r.count - 1) = v
+}
+
+// pushFront prepends v at the head.
+func (r *ring[T]) pushFront(v T) {
+	if r.count == len(r.buf) {
+		r.grow()
+	}
+	r.head = (r.head - 1) & (len(r.buf) - 1)
+	r.buf[r.head] = v
+	r.count++
+}
+
+// popFront removes and returns the head value; the vacated slot is zeroed
+// so popped values do not pin garbage.
+func (r *ring[T]) popFront() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.count--
+	return v
+}
+
+// remove deletes the i-th value from the head, moving later ones forward.
+func (r *ring[T]) remove(i int) {
+	if i == 0 {
+		r.popFront()
+		return
+	}
+	for ; i < r.count-1; i++ {
+		*r.at(i) = *r.at(i + 1)
+	}
+	var zero T
+	*r.at(r.count - 1) = zero
+	r.count--
 }

@@ -8,18 +8,19 @@ import "fmt"
 // requests are granted strictly in arrival order, so a large request at
 // the head of the queue blocks smaller later ones (no starvation, no
 // overtaking). It models pools such as CPU cores on a node or admission
-// slots in a daemon.
+// slots in a daemon. A blocked request is a value in the resource's own
+// queue, and parks on its process's wait slot.
 type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	queue    []*resWaiter
+	queue    ring[request]
 }
 
-type resWaiter struct {
-	n       int
-	ev      *Event
-	granted bool
+// request is a blocked acquisition of n units by wait w.
+type request struct {
+	n int
+	w wait
 }
 
 // NewResource creates a resource with the given capacity. Capacity must be
@@ -41,7 +42,7 @@ func (r *Resource) InUse() int { return r.inUse }
 func (r *Resource) Available() int { return r.capacity - r.inUse }
 
 // Queued returns the number of blocked acquisitions.
-func (r *Resource) Queued() int { return len(r.queue) }
+func (r *Resource) Queued() int { return r.queue.len() }
 
 // Acquire blocks p until n units are available and takes them. If the
 // wait is interrupted (Proc.Interrupt) or the engine shuts down, the
@@ -49,32 +50,36 @@ func (r *Resource) Queued() int { return len(r.queue) }
 // units are returned — before the panic propagates.
 func (r *Resource) Acquire(p *Proc, n int) {
 	r.check(n)
-	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
+	if r.queue.len() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return
 	}
-	w := &resWaiter{n: n, ev: NewEvent(r.eng)}
-	r.queue = append(r.queue, w)
+	w := p.arm()
+	r.queue.pushBack(request{n, w})
 	defer func() {
 		e := recover()
 		if e == nil {
 			return
 		}
-		if w.granted {
-			r.inUse -= w.n
-			r.grant()
-		} else {
-			for i, cand := range r.queue {
-				if cand == w {
-					r.queue = append(r.queue[:i], r.queue[i+1:]...)
-					r.grant() // our withdrawal may unblock others
-					break
-				}
-			}
+		if !r.withdraw(w) {
+			r.inUse -= n // granted in the meantime: hand the units back
 		}
+		r.grant() // either way, others may fit now
 		panic(e)
 	}()
-	p.Wait(w.ev)
+	p.park()
+}
+
+// withdraw removes w's request from the queue, reporting whether it was
+// still queued (not yet granted).
+func (r *Resource) withdraw(w wait) bool {
+	for i := 0; i < r.queue.len(); i++ {
+		if r.queue.at(i).w == w {
+			r.queue.remove(i)
+			return true
+		}
+	}
+	return false
 }
 
 // Release returns n units and grants as many queued requests (in FIFO
@@ -89,15 +94,13 @@ func (r *Resource) Release(n int) {
 }
 
 func (r *Resource) grant() {
-	for len(r.queue) > 0 {
-		w := r.queue[0]
-		if r.inUse+w.n > r.capacity {
+	for r.queue.len() > 0 {
+		req := r.queue.at(0)
+		if r.inUse+req.n > r.capacity {
 			return
 		}
-		r.inUse += w.n
-		w.granted = true
-		r.queue = r.queue[1:]
-		w.ev.Trigger()
+		r.inUse += req.n
+		r.eng.signal(r.queue.popFront().w)
 	}
 }
 
