@@ -14,12 +14,13 @@
 package cache
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Key is the content address of a Compute-Unit's result: a SHA-256
@@ -67,48 +68,46 @@ func DigestKey(executable string, args []string, inputs, outputs []ObjectRef) (K
 	if len(outputs) == 0 {
 		return Key{}, ErrNoOutputs
 	}
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	// Every field is length-prefixed so adjacent fields can never blur
-	// into each other ("ab"+"c" vs "a"+"bc").
-	writeStr := func(s string) {
-		writeInt(int64(len(s)))
-		h.Write([]byte(s))
-	}
-	writeRefs := func(refs []ObjectRef) {
-		refs = sortedRefs(refs)
-		writeInt(int64(len(refs)))
-		for _, r := range refs {
-			writeStr(r.Name)
-			writeInt(r.SizeBytes)
-		}
-	}
-	writeStr("unitkey/v1")
-	writeStr(executable)
-	writeInt(int64(len(args)))
+	// The fields are appended into one buffer, on the stack for the
+	// usual description size, and hashed in one call.
+	var stack [1024]byte
+	b := appendStr(stack[:0], "unitkey/v1")
+	b = appendStr(b, executable)
+	b = appendInt(b, int64(len(args)))
 	for _, a := range args {
-		writeStr(a)
+		b = appendStr(b, a)
 	}
-	writeRefs(inputs)
-	writeRefs(outputs)
-	var k Key
-	h.Sum(k[:0])
-	return k, nil
+	b = appendRefs(b, inputs)
+	b = appendRefs(b, outputs)
+	return sha256.Sum256(b), nil
 }
 
-// sortedRefs returns a copy of refs in (name, size) order — the
-// order-stability fix: the digest must not depend on declaration order.
-func sortedRefs(refs []ObjectRef) []ObjectRef {
-	out := append([]ObjectRef(nil), refs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
+// appendInt appends v as eight little-endian bytes.
+func appendInt(b []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
+}
+
+// appendStr appends s length-prefixed, so adjacent fields can never blur
+// into each other ("ab"+"c" vs "a"+"bc").
+func appendStr(b []byte, s string) []byte {
+	return append(appendInt(b, int64(len(s))), s...)
+}
+
+// appendRefs appends the count and then each ref in (name, size) order —
+// the digest must not depend on declaration order. refs itself is left
+// as it is: a sorted copy is made, on the stack for up to 16 refs.
+func appendRefs(b []byte, refs []ObjectRef) []byte {
+	var stack [16]ObjectRef
+	sorted := append(stack[:0], refs...)
+	slices.SortFunc(sorted, func(x, y ObjectRef) int {
+		if c := cmp.Compare(x.Name, y.Name); c != 0 {
+			return c
 		}
-		return out[i].SizeBytes < out[j].SizeBytes
+		return cmp.Compare(x.SizeBytes, y.SizeBytes)
 	})
-	return out
+	b = appendInt(b, int64(len(sorted)))
+	for _, r := range sorted {
+		b = appendInt(appendStr(b, r.Name), r.SizeBytes)
+	}
+	return b
 }

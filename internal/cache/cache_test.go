@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -32,6 +33,41 @@ func TestDigestKeyOrderStable(t *testing.T) {
 	// The original slices must not be reordered as a side effect.
 	if in[0].Name != "/d/a" || out[0].Name != "/o/x" {
 		t.Error("DigestKey mutated its argument slices")
+	}
+}
+
+// TestDigestKeyPinned: content addresses are stable across releases —
+// the hex digests below were computed by the original hash.Hash-based
+// DigestKey, and cached results and trace lines (Key.Short) depend on
+// them staying byte-identical. The last case outgrows any fixed-size
+// scratch buffer.
+func TestDigestKeyPinned(t *testing.T) {
+	args := []string{"-v", "--n=3"}
+	in := []ObjectRef{ref("/d/a", 1), ref("/d/b", 2), ref("/d/c", 3)}
+	out := []ObjectRef{ref("/o/x", 4), ref("/o/y", 5)}
+	var big []ObjectRef
+	for i := 40; i > 0; i-- {
+		big = append(big, ref(fmt.Sprintf("/data/partition/%03d/part-%05d.parquet", i%7, i), int64(i)<<20))
+	}
+	const small = "27cf89d40c1545e78d52f1ecc57e0b77696949231cbcd38eb49104b43aefbfee"
+	for _, c := range []struct {
+		name, want string
+		key        Key
+	}{
+		{"small", small, mustKey(t, "/bin/f", args, in, out)},
+		{"permuted", small, mustKey(t, "/bin/f", args,
+			[]ObjectRef{in[2], in[0], in[1]}, []ObjectRef{out[1], out[0]})},
+		{"same name, two sizes", "068b4977169cceaa1cf3bd09fd4424392e4fc4ec277a575b72378b37c157652a",
+			mustKey(t, "/bin/f", args, []ObjectRef{in[2], in[1], in[0], ref("/d/a", 0)}, []ObjectRef{out[1], out[0]})},
+		{"40 inputs", "0885009244ea7ffcd578cd676488052df4ef05643f41a77836b43a1d617630ff",
+			mustKey(t, "/bin/reduce", []string{"--all"}, big, big[:3])},
+	} {
+		if got := c.key.String(); got != c.want {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
+		}
+	}
+	if got := mustKey(t, "/bin/f", args, in, out).Short(); got != small[:8] {
+		t.Errorf("Short() = %s, want %s", got, small[:8])
 	}
 }
 

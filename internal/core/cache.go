@@ -23,13 +23,14 @@ import (
 // always execute.
 func UnitKey(d ComputeUnitDescription) (cache.Key, error) {
 	d = d.withDefaults()
-	return cache.DigestKey(d.Executable, d.Arguments, refObjects(d.Inputs), refObjects(d.Outputs))
+	var in, out [16]cache.ObjectRef // the usual sizes stay on the stack
+	return cache.DigestKey(d.Executable, d.Arguments,
+		refObjects(in[:0], d.Inputs), refObjects(out[:0], d.Outputs))
 }
 
-// refObjects projects DataRefs onto the name+size identity the digest
-// consumes.
-func refObjects(refs []DataRef) []cache.ObjectRef {
-	out := make([]cache.ObjectRef, 0, len(refs))
+// refObjects appends to out the name+size identity the digest consumes
+// of each DataRef.
+func refObjects(out []cache.ObjectRef, refs []DataRef) []cache.ObjectRef {
 	for _, ref := range refs {
 		if ref.Unit == nil {
 			continue
@@ -132,6 +133,12 @@ func (um *UnitManager) completeFromCache(p *sim.Proc, u *Unit) {
 	u.advance(UnitDone)
 }
 
+// serveName names the process completing a leader's coalesced waiters
+// ("cache:serve:<unit ID>") only when the name is read.
+type serveName Unit
+
+func (n *serveName) String() string { return "cache:serve:" + n.ID }
+
 // settleFlight runs from the unit's final-state hook: if the unit led a
 // result-cache flight, the flight is settled. A UnitDone leader caches
 // its result and a spawned process completes the coalesced waiters from
@@ -162,7 +169,7 @@ func (um *UnitManager) settleFlight(u *Unit, st UnitState) bool {
 		if len(waiters) == 0 {
 			return false
 		}
-		um.session.eng.Spawn("cache:serve:"+u.ID, func(p *sim.Proc) {
+		um.session.eng.SpawnNamed((*serveName)(u), func(p *sim.Proc) {
 			for _, w := range waiters {
 				um.completeFromCache(p, w)
 			}

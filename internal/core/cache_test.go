@@ -56,6 +56,10 @@ func TestUnitKeyPermutationStable(t *testing.T) {
 	if k1 != k2 {
 		t.Errorf("permuted refs / excluded fields changed the key:\n%v\n%v", k1, k2)
 	}
+	// Pinned at the original digest code: content addresses must not move.
+	if want := "47847ce7f9b173997efbce248960c6a521b09e203121184b1eb9ce320b3b59ac"; k1.String() != want {
+		t.Errorf("key %s, want %s", k1, want)
+	}
 
 	changed := base
 	changed.Arguments = []string{"-n", "4"}
@@ -167,7 +171,7 @@ func TestResultCacheHitServesRepeatSubmission(t *testing.T) {
 	if repeat == nil || repeat.State() != UnitDone {
 		t.Fatalf("repeat submission did not complete: %+v", repeat)
 	}
-	if _, executed := repeat.Timestamps[UnitExecuting]; executed {
+	if _, executed := repeat.Timestamp(UnitExecuting); executed {
 		t.Error("cache-served unit entered UnitExecuting")
 	}
 	if repeat.TimeToCompletion() != 0 {
@@ -240,7 +244,7 @@ func TestResultCacheCoalescesConcurrentSubmissions(t *testing.T) {
 		if w.State() != UnitDone {
 			t.Errorf("waiter %d ended %v (%v)", i, w.State(), w.Err)
 		}
-		if _, executed := w.Timestamps[UnitExecuting]; executed {
+		if _, executed := w.Timestamp(UnitExecuting); executed {
 			t.Errorf("waiter %d entered UnitExecuting", i)
 		}
 		if w.Timestamps[UnitDone] < leader.Timestamps[UnitDone] {
@@ -311,7 +315,7 @@ func TestFailedLeaderReleasesWaiters(t *testing.T) {
 	if waiter.State() != UnitDone {
 		t.Fatalf("waiter ended %v (%v), want DONE on the surviving pilot", waiter.State(), waiter.Err)
 	}
-	if _, executed := waiter.Timestamps[UnitExecuting]; !executed {
+	if _, executed := waiter.Timestamp(UnitExecuting); !executed {
 		t.Error("released waiter never executed")
 	}
 	if waiter.Pilot == leader.Pilot {
@@ -380,7 +384,7 @@ func TestLeaderStageOutFailureDoesNotPoison(t *testing.T) {
 	if waiter.State() != UnitFailed {
 		t.Fatalf("waiter ended %v, want its own independent failure", waiter.State())
 	}
-	if _, executed := waiter.Timestamps[UnitExecuting]; !executed {
+	if _, executed := waiter.Timestamp(UnitExecuting); !executed {
 		t.Error("released waiter never executed")
 	}
 }

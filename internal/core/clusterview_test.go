@@ -332,17 +332,13 @@ func BenchmarkClusterView(b *testing.B) {
 			// benchmark isolates view assembly from agent execution.
 			pilots := make([]*Pilot, 4)
 			for i := range pilots {
-				pilots[i] = &Pilot{ID: fmt.Sprintf("bench.%d", i), session: s,
-					watch:      sim.NewNotifier[PilotState](eng),
-					Timestamps: make(map[PilotState]sim.Duration)}
+				pilots[i] = &Pilot{ID: fmt.Sprintf("bench.%d", i), session: s}
 				um.trackPilot(pilots[i])
 			}
 			for i := 0; i < inflight; i++ {
-				u := &Unit{ID: fmt.Sprintf("u.%d", i), session: s,
-					Desc:       ComputeUnitDescription{Cores: 2}.withDefaults(),
-					state:      UnitPendingAgent,
-					watch:      sim.NewNotifier[UnitState](eng),
-					Timestamps: make(map[UnitState]sim.Duration)}
+				u := &Unit{ID: fmt.Sprintf("u.%d", i), um: um,
+					Desc:  ComputeUnitDescription{Cores: 2}.withDefaults(),
+					state: UnitPendingAgent}
 				um.setAcct(u, acctBoundWaiting, um.view.For(pilots[i%len(pilots)]))
 			}
 			b.ReportAllocs()

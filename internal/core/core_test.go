@@ -197,7 +197,7 @@ func TestUnitStateTimestampsMonotonic(t *testing.T) {
 	}
 	last := sim.Duration(-1)
 	for _, st := range order {
-		ts, ok := unit.Timestamps[st]
+		ts, ok := unit.Timestamp(st)
 		if !ok {
 			t.Fatalf("state %v has no timestamp", st)
 		}

@@ -36,7 +36,10 @@
 // callbacks.go: subscribers registered with OnStateChange observe each
 // state actually entered, and Wait/WaitState/WaitAll park on the same
 // fabric. States skipped on failure paths fire no callbacks, but the
-// failure's final state wakes every parked waiter.
+// failure's final state wakes every parked waiter. The Unit-Manager's
+// own bookkeeping for a unit it submitted (ledger phase, result-cache
+// flight, bind-loop kick) is not a subscription: the unit's state entry
+// calls it directly, ahead of every subscriber.
 //
 // The package's timing behaviour is calibrated by a BootstrapProfile so
 // the startup experiments (paper Figure 5) reproduce: agent bootstrap

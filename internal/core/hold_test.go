@@ -75,7 +75,7 @@ func TestHoldUntilInputReplicated(t *testing.T) {
 		}
 		u.Wait(p)
 		final = u.State()
-		_, sawPending = u.Timestamps[UnitPendingInput]
+		_, sawPending = u.Timestamp(UnitPendingInput)
 		pl.Cancel()
 	})
 	e.eng.Run()

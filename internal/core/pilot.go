@@ -23,9 +23,13 @@ type Pilot struct {
 	backend Backend
 
 	state PilotState
-	watch *sim.Notifier[PilotState]
-	// Timestamps records when each state was entered.
-	Timestamps map[PilotState]sim.Duration
+	watch sim.Notifier[PilotState]
+	// Timestamps records when each state was entered, indexed by state;
+	// the entry of a state the pilot never entered is zero. Timestamp
+	// reports whether a state was reached. A re-entered PilotResizing
+	// holds its latest entry; PilotActive keeps its first (exitResizing).
+	Timestamps [numPilotStates]sim.Duration
+	reached    uint16 // bit st set once st was entered
 
 	// AgentStartTime is when the placeholder job's payload began on the
 	// allocation — the reference point of the paper's "agent startup
@@ -88,8 +92,23 @@ func (pl *Pilot) WaitState(p *sim.Proc, st PilotState) bool {
 	// Final states are the largest values, so "st or final" is the
 	// threshold min(st, PilotDone) — an indexed wait, never a scan.
 	pl.watch.AwaitMin(p, pl.state, min(st, PilotDone))
-	_, reached := pl.Timestamps[st]
+	_, reached := pl.Timestamp(st)
 	return reached
+}
+
+// Timestamp reports when the pilot entered st, and whether it ever did:
+// states skipped on a failure path report false.
+func (pl *Pilot) Timestamp(st PilotState) (sim.Duration, bool) {
+	if uint(st) >= numPilotStates || pl.reached&(1<<st) == 0 {
+		return 0, false
+	}
+	return pl.Timestamps[st], true
+}
+
+// stamp records entering st now.
+func (pl *Pilot) stamp(st PilotState) {
+	pl.Timestamps[st] = pl.session.eng.Now()
+	pl.reached |= 1 << st
 }
 
 // Wait blocks until the pilot reaches a final state.
@@ -116,14 +135,14 @@ func (pl *Pilot) QueueWait() sim.Duration {
 // advance moves the pilot into st, recording the timestamp, firing
 // callbacks and waking waiters. States may be skipped on failure paths;
 // skipped states fire no callbacks, and waiters parked on them are woken
-// by the final state (observing via Timestamps that the awaited state
+// by the final state (observing via Timestamp that the awaited state
 // never actually occurred).
 func (pl *Pilot) advance(st PilotState) {
 	if pl.state.Final() || st <= pl.state {
 		return
 	}
 	pl.state = st
-	pl.Timestamps[st] = pl.session.eng.Now()
+	pl.stamp(st)
 	pl.recordState(st)
 	pl.watch.Entered(st)
 }
@@ -145,7 +164,7 @@ func (pl *Pilot) enterResizing() {
 		return
 	}
 	pl.state = PilotResizing
-	pl.Timestamps[PilotResizing] = pl.session.eng.Now()
+	pl.stamp(PilotResizing)
 	pl.recordState(PilotResizing)
 	pl.watch.Entered(PilotResizing)
 }
@@ -284,16 +303,14 @@ func (pm *PilotManager) Submit(p *sim.Proc, desc PilotDescription) (*Pilot, erro
 	}
 	pm.session.nextPilot++
 	pl := &Pilot{
-		ID:         fmt.Sprintf("pilot.%04d", pm.session.nextPilot),
-		Desc:       desc,
-		session:    pm.session,
-		res:        res,
-		backend:    backend,
-		watch:      sim.NewNotifier[PilotState](pm.session.eng),
-		Timestamps: make(map[PilotState]sim.Duration),
+		ID:      fmt.Sprintf("pilot.%04d", pm.session.nextPilot),
+		Desc:    desc,
+		session: pm.session,
+		res:     res,
+		backend: backend,
 	}
 	pl.queueName = "units:" + pl.ID
-	pl.Timestamps[PilotNew] = pm.session.eng.Now()
+	pl.stamp(PilotNew)
 	pl.advance(PilotLaunching)
 
 	js, err := saga.NewJobService(res.EffectiveURL(), res.Batch)

@@ -18,6 +18,12 @@ type persistentAM struct {
 	app   *yarn.Application
 }
 
+// amWaitName names the process that reports one unit container's exit
+// ("rp-am:wait:<pilot ID>") only when the name is read.
+type amWaitName Pilot
+
+func (n *amWaitName) String() string { return "rp-am:wait:" + n.ID }
+
 type amRequest struct {
 	spec yarn.ResourceSpec
 	body yarn.ContainerBody
@@ -62,7 +68,7 @@ func (b *yarnBackend) startPersistentAM(p *sim.Proc, bc *BackendContext) error {
 				}
 				// Completion is reported asynchronously so the AM can
 				// serve the next unit while this one runs.
-				eng.Spawn("rp-am:wait:"+bc.Pilot.ID, func(wp *sim.Proc) {
+				eng.SpawnNamed((*amWaitName)(bc.Pilot), func(wp *sim.Proc) {
 					wp.Wait(c.Done)
 					req.exit = c.ExitCode
 					req.done.Trigger()

@@ -30,6 +30,8 @@ const (
 	// PilotFailed: the placeholder job failed (e.g. walltime), or its
 	// agent could not bring the backend up (Pilot.Err says why).
 	PilotFailed
+
+	numPilotStates = iota // sizes Pilot.Timestamps
 )
 
 // String returns the RADICAL-Pilot-style state name.
@@ -99,6 +101,8 @@ const (
 	UnitCanceled
 	// UnitFailed: the executable or its launch failed.
 	UnitFailed
+
+	numUnitStates = iota // sizes Unit.Timestamps
 )
 
 // String returns the RADICAL-Pilot-style state name.

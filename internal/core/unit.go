@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/data"
@@ -14,13 +15,18 @@ import (
 // Unit is a Compute-Unit: a self-contained piece of work submitted
 // through the Unit-Manager and executed by a Pilot-Agent.
 type Unit struct {
-	ID      string
-	Desc    ComputeUnitDescription
-	session *Session
+	ID   string
+	Desc ComputeUnitDescription
+	// um is the manager that submitted the unit; enter hands it every
+	// transition before any subscriber (see UnitManager.unitEntered).
+	um *UnitManager
 
-	state      UnitState
-	watch      *sim.Notifier[UnitState]
-	Timestamps map[UnitState]sim.Duration
+	state UnitState
+	watch sim.Notifier[UnitState]
+	// Timestamps records when each state was entered, indexed by state;
+	// the entry of a state the unit never entered is zero. Timestamp
+	// reports whether a state was reached.
+	Timestamps [numUnitStates]sim.Duration
 
 	// Pilot is the pilot the Unit-Manager bound this unit to. It is nil
 	// before the first binding and between a pilot's death and the
@@ -32,8 +38,10 @@ type Unit struct {
 	// acct is the unit's ledger phase and acctView the pilot row of the
 	// manager's ClusterView it is counted in (bound phases only); setAcct
 	// is their only writer. unresolved counts the unreplicated inputs a
-	// held unit still waits for (an int32 beside acct keeps Unit small).
+	// held unit still waits for. reached has bit st set once st was
+	// entered. The three small fields share one word.
 	acct       acctPhase
+	reached    uint16
 	unresolved int32
 	acctView   *PilotView
 }
@@ -86,6 +94,21 @@ func (u *Unit) Wait(p *sim.Proc) UnitState {
 	return u.state
 }
 
+// Timestamp reports when the unit entered st, and whether it ever did:
+// states skipped on a failure path report false.
+func (u *Unit) Timestamp(st UnitState) (sim.Duration, bool) {
+	if uint(st) >= numUnitStates || u.reached&(1<<st) == 0 {
+		return 0, false
+	}
+	return u.Timestamps[st], true
+}
+
+// stamp records entering st now.
+func (u *Unit) stamp(st UnitState) {
+	u.Timestamps[st] = u.um.session.eng.Now()
+	u.reached |= 1 << st
+}
+
 // StartupTime is the paper's Figure 5 inset metric: submission to
 // executable start. Valid once the unit has reached UnitExecuting.
 func (u *Unit) StartupTime() sim.Duration {
@@ -94,12 +117,10 @@ func (u *Unit) StartupTime() sim.Duration {
 
 // TimeToCompletion is submission to final state.
 func (u *Unit) TimeToCompletion() sim.Duration {
-	for _, st := range []UnitState{UnitDone, UnitCanceled, UnitFailed} {
-		if ts, ok := u.Timestamps[st]; ok {
-			return ts - u.Timestamps[UnitSchedulingUM]
-		}
+	if !u.state.Final() {
+		return 0
 	}
-	return 0
+	return u.Timestamps[u.state] - u.Timestamps[UnitSchedulingUM]
 }
 
 // advance moves the unit into st (skipping forward is allowed on failure
@@ -115,12 +136,12 @@ func (u *Unit) advance(st UnitState) {
 
 // enter is the unit's one state-entry path: it sets and stamps st,
 // records it (with detail) to the session's flight recorder when one is
-// attached — the nil check is the only cost paid without one — and
-// fires callbacks and wakes waiters.
+// attached — the nil check is the only cost paid without one — runs the
+// submitting manager's hook, then fires callbacks and wakes waiters.
 func (u *Unit) enter(st UnitState, detail string) {
 	u.state = st
-	u.Timestamps[st] = u.session.eng.Now()
-	if r := u.session.rec; r != nil {
+	u.stamp(st)
+	if r := u.um.session.rec; r != nil {
 		ev := obs.Event{
 			Kind: obs.KindUnitState, Unit: u.ID, Name: u.Desc.Name,
 			State: st.String(), Cores: u.Desc.Cores, Detail: detail,
@@ -130,6 +151,7 @@ func (u *Unit) enter(st UnitState, detail string) {
 		}
 		r.Record(ev)
 	}
+	u.um.unitEntered(u, st)
 	u.watch.Entered(st)
 }
 
@@ -208,7 +230,8 @@ type UnitManager struct {
 	observers []func()
 	// passing marks a scheduling pass in flight (its store round trips
 	// block in virtual time); rerun asks it to go around once more, and
-	// passDone wakes processes waiting for it to retire.
+	// passDone, made by the first process that waits for the pass, wakes
+	// the waiters when it retires.
 	passing  bool
 	rerun    bool
 	passDone *sim.Event
@@ -477,13 +500,18 @@ func (um *UnitManager) bindLoop(p *sim.Proc) {
 func (um *UnitManager) schedulePass(p *sim.Proc) {
 	for um.passing {
 		um.rerun = true
+		if um.passDone == nil {
+			um.passDone = sim.NewEvent(um.session.eng)
+		}
 		p.Wait(um.passDone)
 	}
 	um.passing = true
-	um.passDone = sim.NewEvent(um.session.eng)
 	defer func() {
 		um.passing = false
-		um.passDone.Trigger()
+		if ev := um.passDone; ev != nil {
+			um.passDone = nil
+			ev.Trigger()
+		}
 	}()
 	for {
 		um.rerun = false
@@ -693,31 +721,11 @@ func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*U
 	for _, d := range descs {
 		um.session.nextUnit++
 		u := &Unit{
-			ID:         fmt.Sprintf("unit.%06d", um.session.nextUnit),
-			Desc:       d.withDefaults(),
-			session:    um.session,
-			watch:      sim.NewNotifier[UnitState](um.session.eng),
-			Timestamps: make(map[UnitState]sim.Duration),
+			ID:   seqID("unit.", um.session.nextUnit),
+			Desc: d.withDefaults(),
+			um:   um,
 		}
-		u.Timestamps[UnitNew] = um.session.eng.Now()
-		u.OnStateChange(func(u *Unit, st UnitState) {
-			um.bumpGen() // any transition can shift the waiting/running split
-			if st == UnitExecuting {
-				um.setAcct(u, acctRunning, u.acctView)
-			}
-			if st.Final() {
-				um.setAcct(u, acctNone, nil)
-				// A leader's end releases its coalesced waiters. Waiters
-				// sent back to execute will produce the dead leader's
-				// declared outputs themselves, so those outputs are not
-				// orphaned and must not be canceled here.
-				released := um.settleFlight(u, st)
-				um.kick() // freed capacity may unblock parked units
-				if st != UnitDone && !released {
-					cancelOrphanOutputs(u)
-				}
-			}
-		})
+		u.stamp(UnitNew)
 		if um.acquireCached(p, u) {
 			// Result-cache hit (completed just now, from the cached
 			// result) or coalesced duplicate (parked in UnitPendingResult
@@ -730,8 +738,8 @@ func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*U
 		switch {
 		case err != nil:
 			// An input already retired unread: the unit can never run.
-			// Failing it here fires the final-state hook above, which
-			// cancels the unit's own still-new outputs — the failure
+			// Failing it here runs the final-state hook (unitEntered),
+			// which cancels the unit's own still-new outputs — the failure
 			// cascades down a dependency graph at submission time.
 			u.fail(err)
 		case unresolved > 0:
@@ -751,6 +759,39 @@ func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*U
 	um.notifyObservers() // autoscalers see the new backlog
 	um.schedulePass(p)
 	return units, nil
+}
+
+// unitEntered is the manager's own hook on every state a unit it
+// submitted enters. Unit.enter calls it ahead of the unit's
+// OnStateChange subscribers, nested transitions included.
+func (um *UnitManager) unitEntered(u *Unit, st UnitState) {
+	um.bumpGen() // any transition can shift the waiting/running split
+	if st == UnitExecuting {
+		um.setAcct(u, acctRunning, u.acctView)
+	}
+	if st.Final() {
+		um.setAcct(u, acctNone, nil)
+		// A leader's end releases its coalesced waiters. Waiters sent
+		// back to execute will produce the dead leader's declared outputs
+		// themselves, so those outputs are not orphaned and must not be
+		// canceled here.
+		released := um.settleFlight(u, st)
+		um.kick() // freed capacity may unblock parked units
+		if st != UnitDone && !released {
+			cancelOrphanOutputs(u)
+		}
+	}
+}
+
+// seqID renders a sequential entity ID, prefix plus n zero-padded to six
+// digits ("unit.000042"), without fmt.
+func seqID(prefix string, n int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	for w := 100000; w > 1 && n < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(n), 10))
 }
 
 // unavailableInput builds the failure cause for a unit whose input

@@ -1,8 +1,10 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
@@ -134,20 +136,9 @@ func (dm *Manager) Declare(d UnitDescription) (*Unit, error) {
 		return nil, fmt.Errorf("data: name %q already declared by live unit %s", d.Name, holder.ID)
 	}
 	dm.nextUnit++
-	du := &Unit{
-		ID:         fmt.Sprintf("du.%06d", dm.nextUnit),
-		Desc:       d,
-		mgr:        dm,
-		watch:      sim.NewNotifier[UnitState](dm.eng),
-		Timestamps: make(map[UnitState]sim.Duration),
-	}
-	du.Timestamps[StateNew] = dm.eng.Now()
-	dm.names[d.Name] = du
-	du.watch.Subscribe(func(st UnitState) {
-		if st.Final() && dm.names[d.Name] == du {
-			delete(dm.names, d.Name)
-		}
-	})
+	du := &Unit{ID: seqID("du.", dm.nextUnit), Desc: d, mgr: dm}
+	du.stamp(StateNew)
+	dm.names[d.Name] = du // Unit.enter frees it on a final state
 	return du, nil
 }
 
@@ -262,6 +253,23 @@ func (dm *Manager) abandonIfCanceled(p *sim.Proc, du *Unit) error {
 	return fmt.Errorf("data: unit %s: %w: %v during staging", du.ID, ErrUnavailable, du.state)
 }
 
+// seqID renders a sequential entity ID, prefix plus n zero-padded to six
+// digits ("du.000042"), without fmt.
+func seqID(prefix string, n int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	for w := 100000; w > 1 && n < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(n), 10))
+}
+
+// replicaName names a replica copy's serving process
+// ("data:replica:<unit ID>") only when the name is read.
+type replicaName Unit
+
+func (n *replicaName) String() string { return "data:replica:" + n.ID }
+
 // copyReplica moves one replica of du from src to dst. When the source
 // store exposes a flat volume the copy runs over the SAGA pipelined
 // path; otherwise (HDFS) the source read is overlapped with the
@@ -273,7 +281,7 @@ func (dm *Manager) copyReplica(p *sim.Proc, du *Unit, src, dst *Pilot) error {
 	}
 	done := sim.NewEvent(dm.eng)
 	var serveErr error
-	dm.eng.Spawn("data:replica:"+du.ID, func(rp *sim.Proc) {
+	dm.eng.SpawnNamed((*replicaName)(du), func(rp *sim.Proc) {
 		defer done.Trigger()
 		serveErr = src.store.ServeTo(rp, name, nil)
 	})
@@ -304,17 +312,20 @@ func (dm *Manager) placeReplicas(du *Unit) []*Pilot {
 		}
 		eligible = append(eligible, dp)
 	}
-	sort.SliceStable(eligible, func(i, j int) bool {
-		a, b := eligible[i], eligible[j]
-		am := du.Desc.Affinity != "" && (a.Label() == du.Desc.Affinity || a.ID == du.Desc.Affinity)
-		bm := du.Desc.Affinity != "" && (b.Label() == du.Desc.Affinity || b.ID == du.Desc.Affinity)
+	aff := du.Desc.Affinity
+	slices.SortFunc(eligible, func(a, b *Pilot) int {
+		am := aff != "" && (a.Label() == aff || a.ID == aff)
+		bm := aff != "" && (b.Label() == aff || b.ID == aff)
 		if am != bm {
-			return am
+			if am {
+				return -1
+			}
+			return 1
 		}
-		if ua, ub := a.store.UsedBytes(), b.store.UsedBytes(); ua != ub {
-			return ua < ub
+		if c := cmp.Compare(a.store.UsedBytes(), b.store.UsedBytes()); c != 0 {
+			return c
 		}
-		return a.index < b.index
+		return cmp.Compare(a.index, b.index)
 	})
 	if len(eligible) > du.Desc.Replication {
 		eligible = eligible[:du.Desc.Replication]

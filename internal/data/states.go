@@ -22,6 +22,8 @@ const (
 	StateCanceled
 	// StateFailed: staging failed (see Unit.Err).
 	StateFailed
+
+	numStates = iota // sizes Unit.Timestamps
 )
 
 // String returns the RADICAL-Pilot-style state name.

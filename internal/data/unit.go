@@ -63,9 +63,12 @@ type Unit struct {
 	mgr  *Manager
 
 	state UnitState
-	watch *sim.Notifier[UnitState]
-	// Timestamps records when each state was entered.
-	Timestamps map[UnitState]sim.Duration
+	watch sim.Notifier[UnitState]
+	// Timestamps records when each state was entered, indexed by state;
+	// the entry of a state the unit never entered is zero. Timestamp
+	// reports whether a state was reached.
+	Timestamps [numStates]sim.Duration
+	reached    uint8 // bit st set once st was entered
 
 	replicas []*Pilot
 	// cached are the opportunistic stage-in copies (Manager.CacheReplica):
@@ -202,8 +205,23 @@ func (du *Unit) Wait(p *sim.Proc) UnitState {
 // the unit actually passed through the awaited state.
 func (du *Unit) WaitState(p *sim.Proc, st UnitState) bool {
 	du.watch.AwaitMin(p, du.state, min(st, StateDone))
-	_, reached := du.Timestamps[st]
+	_, reached := du.Timestamp(st)
 	return reached
+}
+
+// Timestamp reports when the unit entered st, and whether it ever did:
+// states skipped on a failure path report false.
+func (du *Unit) Timestamp(st UnitState) (sim.Duration, bool) {
+	if uint(st) >= numStates || du.reached&(1<<st) == 0 {
+		return 0, false
+	}
+	return du.Timestamps[st], true
+}
+
+// stamp records entering st now.
+func (du *Unit) stamp(st UnitState) {
+	du.Timestamps[st] = du.mgr.eng.Now()
+	du.reached |= 1 << st
 }
 
 // WaitReady blocks p until the unit is readable — replicated and not yet
@@ -226,13 +244,17 @@ func (du *Unit) advance(st UnitState) {
 
 // enter is the unit's one state-entry path: it sets and stamps st,
 // records it (with detail) to the manager's flight recorder when one is
-// attached, and fires callbacks and wakes waiters.
+// attached, frees the unit's name in the manager on a final state, and
+// fires callbacks and wakes waiters.
 func (du *Unit) enter(st UnitState, detail string) {
 	du.state = st
-	du.Timestamps[st] = du.mgr.eng.Now()
+	du.stamp(st)
 	if r := du.mgr.rec; r != nil {
 		r.Record(obs.Event{Kind: obs.KindDataState, Data: du.ID, Name: du.Name(),
 			State: st.String(), Bytes: du.Desc.SizeBytes, Detail: detail})
+	}
+	if names := du.mgr.names; st.Final() && names[du.Name()] == du {
+		delete(names, du.Name())
 	}
 	du.watch.Entered(st)
 }

@@ -68,6 +68,11 @@ type ScaleRow struct {
 	Parks     int64 `json:"parks"`
 	Switches  int64 `json:"switches"`
 	Spawns    int64 `json:"spawns"`
+	// AllocsPerUnit is the cell's heap allocations (the
+	// runtime.MemStats.Mallocs delta from set-up to the end of the run)
+	// per unit. It repeats closely on one toolchain, not exactly, and
+	// moves with the Go version.
+	AllocsPerUnit float64 `json:"allocs_per_unit"`
 }
 
 // scalePilots sizes the pilot fleet for n units: grows with the
@@ -103,6 +108,9 @@ func RunScaleSweep(seed int64, scales []int) ([]*ScaleRow, error) {
 
 // runScaleCell runs one scale: fresh engine, fresh pilots, n units.
 func runScaleCell(seed int64, n int) (*ScaleRow, error) {
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	mallocs := mem.Mallocs
 	pilots := scalePilots(n)
 	bcfg := testbedBatch(seed)
 	bcfg.DefaultWallTime = 8 * time.Hour
@@ -184,6 +192,8 @@ func runScaleCell(seed int64, n int) (*ScaleRow, error) {
 	eng.Run()
 	row.Wall = time.Since(wallStart)
 	row.SimEvents, row.Parks, row.Switches, row.Spawns = eng.Stats()
+	runtime.ReadMemStats(&mem)
+	row.AllocsPerUnit = float64(mem.Mallocs-mallocs) / float64(n)
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -230,6 +240,9 @@ func CheckScaleSweep(rows []*ScaleRow, scales []int) error {
 		}
 		if r.Offered < int64(r.Units) {
 			return fmt.Errorf("scale %d: offered %d < units", r.Units, r.Offered)
+		}
+		if r.AllocsPerUnit <= 0 {
+			return fmt.Errorf("scale %d: allocs per unit %v not positive", r.Units, r.AllocsPerUnit)
 		}
 		if r.TurnP95 < r.TurnP50 {
 			return fmt.Errorf("scale %d: P95 %v < P50 %v", r.Units, r.TurnP95, r.TurnP50)
@@ -286,20 +299,21 @@ func WriteScaleBenchJSON(w io.Writer, rows []*ScaleRow) error {
 			Name: fmt.Sprintf("BenchmarkScaleSweep/units=%d", r.Units),
 			Pkg:  doc.Package, Iterations: 1,
 			Metrics: map[string]float64{
-				"units/sec":    r.UnitsPerSec,
-				"sim-sec":      r.Makespan.Seconds(),
-				"wall-ms":      float64(r.Wall.Milliseconds()),
-				"pilots":       float64(r.Pilots),
-				"bind-passes":  float64(r.BindPasses),
-				"offered":      float64(r.Offered),
-				"bind-mean-s":  r.BindMean,
-				"turn-p50-s":   r.TurnP50.Seconds(),
-				"turn-p95-s":   r.TurnP95.Seconds(),
-				"trace-events": float64(r.Events),
-				"sim-events":   float64(r.SimEvents),
-				"parks":        float64(r.Parks),
-				"switches":     float64(r.Switches),
-				"spawns":       float64(r.Spawns),
+				"units/sec":       r.UnitsPerSec,
+				"sim-sec":         r.Makespan.Seconds(),
+				"wall-ms":         float64(r.Wall.Milliseconds()),
+				"pilots":          float64(r.Pilots),
+				"bind-passes":     float64(r.BindPasses),
+				"offered":         float64(r.Offered),
+				"bind-mean-s":     r.BindMean,
+				"turn-p50-s":      r.TurnP50.Seconds(),
+				"turn-p95-s":      r.TurnP95.Seconds(),
+				"trace-events":    float64(r.Events),
+				"sim-events":      float64(r.SimEvents),
+				"parks":           float64(r.Parks),
+				"switches":        float64(r.Switches),
+				"spawns":          float64(r.Spawns),
+				"allocs-per-unit": r.AllocsPerUnit,
 			},
 		})
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -327,6 +328,12 @@ func (b *Batch) reservation(head *Job) (shadow sim.Duration, spare int) {
 }
 
 // start allocates nodes and launches the payload. Kernel context.
+// jobName names a job's payload process ("job:<ID>:<name>") only when
+// the name is read.
+type jobName Job
+
+func (n *jobName) String() string { return "job:" + strconv.Itoa(n.ID) + ":" + n.Spec.Name }
+
 func (b *Batch) start(j *Job) {
 	nodes := b.free[:j.Spec.Nodes]
 	b.free = append([]*cluster.Node(nil), b.free[j.Spec.Nodes:]...)
@@ -340,7 +347,7 @@ func (b *Batch) start(j *Job) {
 		b.machine.Spec.Name, j.ID, len(j.alloc.Nodes), j.QueueWait())
 
 	prolog := sim.Jitter(b.rng, b.cfg.Prolog, b.cfg.PrologJitter)
-	j.proc = b.eng.Spawn(fmt.Sprintf("job:%d:%s", j.ID, j.Spec.Name), func(p *sim.Proc) {
+	j.proc = b.eng.SpawnNamed((*jobName)(j), func(p *sim.Proc) {
 		defer b.finish(j)
 		p.Sleep(prolog)
 		j.Spec.Run(p, j.alloc)

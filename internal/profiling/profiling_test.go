@@ -314,9 +314,9 @@ func TestEventStreamMatchesTimestamps(t *testing.T) {
 	units, _, events := runWorkload(t, pilot.ModeHPC, 3)
 	tl := timelines(events)
 	for _, u := range units {
-		want := make(map[string]time.Duration, len(u.Timestamps))
-		for st, at := range u.Timestamps {
-			if st != pilot.UnitNew {
+		want := make(map[string]time.Duration)
+		for st := pilot.UnitNew + 1; st <= pilot.UnitFailed; st++ {
+			if at, ok := u.Timestamp(st); ok {
 				want[st.String()] = at
 			}
 		}

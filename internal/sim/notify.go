@@ -4,7 +4,7 @@ package sim
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 )
 
 // Notifier is the state-event fabric beneath stateful entities (pilots,
@@ -20,31 +20,24 @@ import (
 // There is one waiter class: AwaitMin parks on "state reached at least
 // X". Waiters are indexed in a min-heap keyed by threshold, so an
 // entered state releases exactly the satisfied ones in O(k log n) —
-// entering a state never scans waiters it cannot release.
+// entering a state never scans waiters it cannot release. A waiter is
+// the parked process's own wait slot, held by value in the heap, so a
+// state wait allocates nothing once the heap has grown.
+//
+// The zero Notifier is ready to use; entities embed it by value.
 type Notifier[S cmp.Ordered] struct {
-	eng *Engine
 	cbs []func(S)
 	// seq orders waiter registration, so releases fire in registration
 	// order however their thresholds differ.
 	seq uint64
 	// th is the threshold min-heap, ordered by (min, seq).
-	th []*stateWaiter[S]
-	// waking guards against re-entrant wakes: a state entered while a
-	// wake is mid-flight queues behind it instead of interleaving with
-	// the in-progress release.
-	waking       bool
-	pendingWakes []S
+	th []stateWaiter[S]
 }
 
 type stateWaiter[S cmp.Ordered] struct {
 	min S // release threshold
 	seq uint64
-	ev  *Event
-}
-
-// NewNotifier creates a notifier on the engine.
-func NewNotifier[S cmp.Ordered](eng *Engine) *Notifier[S] {
-	return &Notifier[S]{eng: eng}
+	w   wait
 }
 
 // Subscribe registers fn for every subsequently entered state.
@@ -63,41 +56,24 @@ func (n *Notifier[S]) Entered(st S) {
 	n.wake(st)
 }
 
-// wake releases every waiter whose threshold st reaches. Nested wakes (a
-// trigger side effect entering another state) queue behind the in-flight
-// one, so the heap is never mutated mid-release.
+// wake releases the waiters st satisfies, in registration order: one
+// wake signal each, as a triggered Event would send. Each pop frees the
+// slot just past the heap, so the released waiters collect in the
+// heap's own spare capacity. Signals only queue events, so a wake never
+// re-enters the notifier.
 func (n *Notifier[S]) wake(st S) {
-	if len(n.th) == 0 && len(n.pendingWakes) == 0 {
-		return
-	}
-	n.pendingWakes = append(n.pendingWakes, st)
-	if n.waking {
-		return
-	}
-	n.waking = true
-	defer func() { n.waking = false }()
-	for len(n.pendingWakes) > 0 {
-		next := n.pendingWakes[0]
-		n.pendingWakes = n.pendingWakes[1:]
-		n.wakeOne(next)
-	}
-	n.pendingWakes = nil
-}
-
-// wakeOne releases the waiters st satisfies, in registration order.
-func (n *Notifier[S]) wakeOne(st S) {
-	var fired []*stateWaiter[S]
+	end := len(n.th)
 	for len(n.th) > 0 && n.th[0].min <= st {
-		fired = append(fired, n.thPop())
+		sw := n.thPop()
+		n.th[:end][len(n.th)] = sw
 	}
-	// Pops arrive ordered by (min, seq); restore registration order
-	// before triggering.
-	if len(fired) > 1 {
-		sort.Slice(fired, func(i, j int) bool { return fired[i].seq < fired[j].seq })
+	released := n.th[len(n.th):end]
+	// Pops arrive ordered by (min, seq); restore registration order.
+	slices.SortFunc(released, func(a, b stateWaiter[S]) int { return cmp.Compare(a.seq, b.seq) })
+	for _, sw := range released {
+		sw.w.p.eng.signal(sw.w)
 	}
-	for _, w := range fired {
-		w.ev.Trigger()
-	}
+	clear(released) // drop the Proc references
 }
 
 // AwaitMin parks p until a state >= min is entered; it returns
@@ -109,18 +85,17 @@ func (n *Notifier[S]) AwaitMin(p *Proc, cur S, min S) {
 		return
 	}
 	n.seq++
-	w := &stateWaiter[S]{min: min, seq: n.seq, ev: NewEvent(n.eng)}
-	n.thPush(w)
-	p.Wait(w.ev)
+	n.thPush(stateWaiter[S]{min: min, seq: n.seq, w: p.arm()})
+	p.park()
 }
 
 // thPush inserts w into the threshold heap.
-func (n *Notifier[S]) thPush(w *stateWaiter[S]) {
+func (n *Notifier[S]) thPush(w stateWaiter[S]) {
 	n.th = append(n.th, w)
 	i := len(n.th) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !thLess(n.th[i], n.th[parent]) {
+		if !thLess(&n.th[i], &n.th[parent]) {
 			break
 		}
 		n.th[i], n.th[parent] = n.th[parent], n.th[i]
@@ -129,20 +104,20 @@ func (n *Notifier[S]) thPush(w *stateWaiter[S]) {
 }
 
 // thPop removes and returns the minimum-threshold waiter.
-func (n *Notifier[S]) thPop() *stateWaiter[S] {
+func (n *Notifier[S]) thPop() stateWaiter[S] {
 	top := n.th[0]
 	last := len(n.th) - 1
 	n.th[0] = n.th[last]
-	n.th[last] = nil
+	n.th[last] = stateWaiter[S]{}
 	n.th = n.th[:last]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(n.th) && thLess(n.th[l], n.th[small]) {
+		if l < len(n.th) && thLess(&n.th[l], &n.th[small]) {
 			small = l
 		}
-		if r < len(n.th) && thLess(n.th[r], n.th[small]) {
+		if r < len(n.th) && thLess(&n.th[r], &n.th[small]) {
 			small = r
 		}
 		if small == i {

@@ -11,7 +11,7 @@ import (
 // when the current state already satisfies them.
 func TestNotifierAwaitMinThreshold(t *testing.T) {
 	e := NewEngine()
-	n := NewNotifier[int](e)
+	var n Notifier[int]
 	var woke []string
 	e.Spawn("low", func(p *Proc) {
 		n.AwaitMin(p, 0, 2)
@@ -39,7 +39,7 @@ func TestNotifierAwaitMinThreshold(t *testing.T) {
 // the heap must not reorder them.
 func TestNotifierWakeOrdering(t *testing.T) {
 	e := NewEngine()
-	n := NewNotifier[int](e)
+	var n Notifier[int]
 	var order []int
 	// Registration order 0..5 alternates high and low thresholds; a
 	// (min, seq) heap pops the low thresholds first, so a notifier that
@@ -69,7 +69,7 @@ func TestNotifierWakeOrdering(t *testing.T) {
 // release, in registration order.
 func TestNotifierReentrantEntered(t *testing.T) {
 	e := NewEngine()
-	n := NewNotifier[int](e)
+	var n Notifier[int]
 	var order []string
 	e.Spawn("w2", func(p *Proc) {
 		n.AwaitMin(p, 0, 2)
@@ -108,7 +108,7 @@ func TestNotifierReentrantEntered(t *testing.T) {
 // state, every one exactly once.
 func TestNotifierManyWaitersOneWake(t *testing.T) {
 	e := NewEngine()
-	n := NewNotifier[int](e)
+	var n Notifier[int]
 	const waiters = 2000
 	woke := 0
 	for i := 0; i < waiters; i++ {
@@ -134,7 +134,7 @@ func BenchmarkNotifierParkedWaiters(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
-		n := NewNotifier[int](e)
+		var n Notifier[int]
 		for w := 0; w < waiters; w++ {
 			e.Spawn("w", func(p *Proc) { n.AwaitMin(p, 0, waiters+1) })
 		}

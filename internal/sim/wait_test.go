@@ -220,6 +220,15 @@ func TestParksAllocateNothing(t *testing.T) {
 				r.Release(1)
 			}
 		},
+		"Notifier.AwaitMin": func(e *Engine) func(p *Proc) {
+			var n Notifier[int]
+			st := 0
+			enter := func() { st++; n.Entered(st) }
+			return func(p *Proc) {
+				e.At(time.Second, enter)
+				n.AwaitMin(p, st, st+1)
+			}
+		},
 		"Queue.Get": func(e *Engine) func(p *Proc) {
 			q := NewQueue[int64](e)
 			put := func() { q.Put(1) }

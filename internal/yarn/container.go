@@ -77,6 +77,12 @@ type containerName Container
 
 func (n *containerName) String() string { return fmt.Sprintf("yarn:c%d:%s", n.ID, n.App.Name) }
 
+// amName names an ApplicationMaster container's process
+// ("yarn:am:<app name>") only when the name is read.
+type amName Container
+
+func (n *amName) String() string { return "yarn:am:" + n.App.Name }
+
 // NodeManager returns the NM hosting this container.
 func (c *Container) NodeManager() *NodeManager { return c.nm }
 

@@ -360,7 +360,7 @@ func (rm *ResourceManager) containerAssigned(req *Request, nm *NodeManager) {
 // launchAM starts the ApplicationMaster inside its container.
 func (rm *ResourceManager) launchAM(c *Container) {
 	app := c.App
-	c.proc = rm.eng.Spawn(fmt.Sprintf("yarn:am:%s", app.Name), func(p *sim.Proc) {
+	c.proc = rm.eng.SpawnNamed((*amName)(c), func(p *sim.Proc) {
 		defer func() {
 			c.terminal(ContainerCompleted, 0)
 			if !app.state.terminal() {

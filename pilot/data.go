@@ -22,6 +22,8 @@ type (
 	DataPilot = data.Pilot
 	// DataUnit is a logical dataset with managed replicas and its own
 	// state machine (DataNew → DataStagingIn → DataReplicated → final).
+	// Its Timestamps array holds when each state was entered;
+	// Timestamp(st) also reports whether st was reached.
 	DataUnit = data.Unit
 	// DataPilotDescription describes a data-pilot request: the backend
 	// and the storage it binds to.

@@ -233,12 +233,12 @@ func testStageInBeforeRunning(t *testing.T, backend string) {
 		if u.State() != pilot.UnitDone {
 			t.Fatalf("%s: consumer finished %v: %v", backend, u.State(), u.Err)
 		}
-		staged, ok1 := u.Timestamps[pilot.UnitStagingInput]
-		running, ok2 := u.Timestamps[pilot.UnitExecuting]
+		staged, ok1 := u.Timestamp(pilot.UnitStagingInput)
+		running, ok2 := u.Timestamp(pilot.UnitExecuting)
 		if !ok1 || !ok2 || staged > running {
 			t.Errorf("%s: stage-in at %v not before RUNNING at %v", backend, staged, running)
 		}
-		replicated, ok := du.Timestamps[pilot.DataReplicated]
+		replicated, ok := du.Timestamp(pilot.DataReplicated)
 		if !ok || replicated > running {
 			t.Errorf("%s: input replicated at %v, after RUNNING at %v", backend, replicated, running)
 		}

@@ -38,6 +38,12 @@
 //     WaitAll are built on the same fabric, so blocking and reactive
 //     styles compose.
 //
+//   - State timestamps. Pilots, Units and DataUnits carry Timestamps, an
+//     array indexed by state holding when each state was entered (zero
+//     for a state never entered). Timestamp(st) reports the time and
+//     whether st was reached at all, so it is the way to tell a state
+//     skipped on a failure path from one entered at time zero.
+//
 //   - Elasticity. Pilots are no longer fixed-size: Pilot.Resize grows a
 //     running pilot by acquiring extra allocation chunks through the
 //     batch system and integrating them into the backend (extra

@@ -13,9 +13,13 @@ type (
 	Session = core.Session
 	// Resource is a machine registered with a Session.
 	Resource = core.Resource
-	// Pilot is a placeholder job; once active it executes units.
+	// Pilot is a placeholder job; once active it executes units. Its
+	// Timestamps array holds when each PilotState was entered;
+	// Timestamp(st) also reports whether st was reached.
 	Pilot = core.Pilot
-	// Unit is a Compute-Unit executed by a pilot's agent.
+	// Unit is a Compute-Unit executed by a pilot's agent. Its Timestamps
+	// array holds when each UnitState was entered; Timestamp(st) also
+	// reports whether st was reached.
 	Unit = core.Unit
 	// PilotManager submits and tracks pilots.
 	PilotManager = core.PilotManager
