@@ -105,13 +105,13 @@ func TestTraceLinesRestateNoTypedFact(t *testing.T) {
 	for _, ev := range rec.Events() {
 		switch ev.Kind {
 		case obs.KindPilotState, obs.KindDataState:
-			seen[string(ev.Kind)+" "+ev.State] = true
+			seen[ev.Kind.String()+" "+ev.State] = true
 		case obs.KindCache, obs.KindReplica:
-			seen[string(ev.Kind)+" "+ev.Op] = true
+			seen[ev.Kind.String()+" "+ev.Op] = true
 		case obs.KindStoreFail:
-			seen[string(ev.Kind)] = true
+			seen[ev.Kind.String()] = true
 		case obs.KindTrace:
-			seen[string(ev.Kind)] = true
+			seen[ev.Kind.String()] = true
 			for _, prefix := range twinPrefixes {
 				if strings.HasPrefix(ev.Detail, prefix) {
 					t.Errorf("trace line restates a typed fact: %q", ev.Detail)
@@ -125,7 +125,7 @@ func TestTraceLinesRestateNoTypedFact(t *testing.T) {
 		"cache hit", "cache coalesce",
 		"replica cache", "replica evict", "replica re-replicate", "replica promote",
 		"data-state " + data.StateFailed.String(), "data-state " + data.StateCanceled.String(),
-		string(obs.KindStoreFail), string(obs.KindTrace),
+		obs.KindStoreFail.String(), obs.KindTrace.String(),
 	} {
 		if !seen[want] {
 			t.Errorf("session recorded no %q event", want)

@@ -590,15 +590,13 @@ func (um *UnitManager) offerOne(p *sim.Proc, u *Unit) {
 		return
 	}
 	u.Pilot = pl
-	detail := ""
-	if um.session.rec != nil { // the load the policy saw, before this bind
-		detail = fmt.Sprintf("%d/%d cores in flight", pv.InFlightCores(), pv.TotalCores)
-	}
+	inFlight := pv.InFlightCores() // the load the policy saw, before this bind
 	um.setAcct(u, acctBoundWaiting, pv)
 	if r := um.session.rec; r != nil {
 		r.Record(obs.Event{
 			Kind: obs.KindBind, Unit: u.ID, Name: u.Desc.Name, Pilot: pl.ID,
-			Policy: um.policy.Name(), Cores: u.Desc.Cores, Detail: detail,
+			Policy: um.policy.Name(), Cores: u.Desc.Cores,
+			Running: inFlight, Nodes: pv.TotalCores,
 		})
 	}
 	u.advance(UnitPendingAgent)
@@ -867,7 +865,7 @@ func (um *UnitManager) recordHold(u *Unit, unresolved int) {
 	if r := um.session.rec; r != nil {
 		r.Record(obs.Event{Kind: obs.KindHold, Op: "input", Unit: u.ID,
 			Name: u.Desc.Name, Cores: u.Desc.Cores,
-			Detail: fmt.Sprintf("%d unreplicated inputs", unresolved)})
+			Detail: strconv.Itoa(unresolved) + " unreplicated inputs"})
 	}
 }
 

@@ -178,7 +178,11 @@ func (dm *Manager) Stage(p *sim.Proc, du *Unit) error {
 	case du.state.Final():
 		return fmt.Errorf("data: unit %s: %w: already %v", du.ID, ErrUnavailable, du.state)
 	}
-	targets := dm.placeReplicas(du)
+	// targets lives on this stack, not in the manager: Stage blocks in
+	// Ingest and copyReplica while it walks targets, and another Stage
+	// may place in between.
+	var buf [8]*Pilot
+	targets := dm.placeReplicas(du, buf[:0])
 	if len(targets) == 0 {
 		err := fmt.Errorf("data: unit %s: %w for %d bytes among %d pilots",
 			du.ID, ErrNoPilots, du.Desc.SizeBytes, len(dm.pilots))
@@ -200,6 +204,9 @@ func (dm *Manager) Stage(p *sim.Proc, du *Unit) error {
 			du.ID, first.store.Name(), ErrUnavailable)
 		du.fail(err)
 		return err
+	}
+	if du.replicas == nil {
+		du.replicas = make([]*Pilot, 0, du.Desc.Replication)
 	}
 	du.replicas = append(du.replicas, first)
 	dm.recordReplica(du, first, "place")
@@ -297,9 +304,9 @@ func (dm *Manager) copyReplica(p *sim.Proc, du *Unit, src, dst *Pilot) error {
 // affinity match first, then ascending store occupancy, ties broken by
 // registration order; stores the unit would overflow are skipped. The
 // count is capped at the eligible pilots, like HDFS caps replication at
-// its DataNode count.
-func (dm *Manager) placeReplicas(du *Unit) []*Pilot {
-	eligible := make([]*Pilot, 0, len(dm.pilots))
+// its DataNode count. The targets are appended to eligible, the
+// caller's buffer.
+func (dm *Manager) placeReplicas(du *Unit, eligible []*Pilot) []*Pilot {
 	for _, dp := range dm.pilots {
 		if dp.failed {
 			continue // a failed store never receives replicas

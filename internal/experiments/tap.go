@@ -63,6 +63,10 @@ func getMetricsRegistry() *pilot.MetricsRegistry {
 	return installedReg
 }
 
+// recorderHook, when set, sees every recorder tapRecorder attaches
+// before its cell runs, so a test can watch the live stream.
+var recorderHook func(*pilot.Recorder)
+
 // tapRecorder attaches a fresh flight recorder to the session when
 // always is set (cells whose own checks audit the stream) or a tap or
 // metrics registry is installed, and bridges its stream into the
@@ -75,6 +79,9 @@ func tapRecorder(eng *sim.Engine, s *pilot.Session, always bool) *pilot.Recorder
 	}
 	rec := pilot.NewRecorder(eng)
 	s.AttachRecorder(rec)
+	if recorderHook != nil {
+		recorderHook(rec)
+	}
 	if reg != nil {
 		rec.OnRecord(pilot.NewMetricsBridge(reg).Apply)
 	}

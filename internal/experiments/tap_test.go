@@ -3,8 +3,11 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/pilot"
 )
 
 // TestTapCollectsDAGStreams: with a tap installed, the dag comparison
@@ -77,5 +80,38 @@ func TestTapCollectsDAGStreams(t *testing.T) {
 	}
 	if !cells["dag/critical-path"] || !cells["dag/fifo"] {
 		t.Fatalf("series cells = %v, want both dag cells", cells)
+	}
+}
+
+// TestHooksAgreeWithEvents: on the recorded dag and cache comparisons,
+// the stream each recorder hands its OnRecord hooks is exactly the one
+// its Events() decodes from the compact log afterwards.
+func TestHooksAgreeWithEvents(t *testing.T) {
+	type watched struct {
+		rec  *pilot.Recorder
+		seen []pilot.TraceEvent
+	}
+	var recs []*watched
+	recorderHook = func(rec *pilot.Recorder) {
+		w := &watched{rec: rec}
+		rec.OnRecord(func(ev pilot.TraceEvent) { w.seen = append(w.seen, ev) })
+		recs = append(recs, w)
+	}
+	defer func() { recorderHook = nil }()
+	if _, err := RunDAGComparison(42); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCacheComparison(42); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 4 {
+		t.Fatalf("%d recorded cells, want at least 4 (two dag, two cache)", len(recs))
+	}
+	for i, w := range recs {
+		got := w.rec.Events()
+		if len(w.seen) == 0 || !reflect.DeepEqual(w.seen, got) {
+			t.Errorf("cell %d: hooks saw %d events, Events() decodes %d, and they differ",
+				i, len(w.seen), len(got))
+		}
 	}
 }

@@ -214,15 +214,102 @@ func (g *Gauge) Add(delta float64, labelValues ...string) {
 // Observe records one observation into the histogram series.
 func (h *Histogram) Observe(v float64, labelValues ...string) {
 	h.reg.mu.Lock()
-	s := h.inst.touch(labelValues)
+	h.inst.touch(labelValues).observe(v, h.inst.buckets)
+	h.reg.mu.Unlock()
+}
+
+// Bound label children. With resolves one series of an instrument for
+// fixed label values — creating it at zero, as a first observation
+// would — and returns a handle that observes it directly: no label
+// join, no lookup, only the registry lock that keeps scrapes safe. A
+// caller that observes the same series often resolves it once and
+// keeps the child.
+
+// child is one resolved series and the registry whose lock guards it.
+type child struct {
+	reg *Registry
+	s   *series
+}
+
+// CounterChild is one series of a Counter, resolved by Counter.With.
+type CounterChild struct{ child }
+
+// GaugeChild is one series of a Gauge, resolved by Gauge.With.
+type GaugeChild struct{ child }
+
+// HistogramChild is one series of a Histogram, resolved by
+// Histogram.With.
+type HistogramChild struct {
+	child
+	buckets []float64
+}
+
+// with resolves the series for labelValues under the registry lock.
+func (h handle) with(labelValues []string) child {
+	h.reg.mu.Lock()
+	defer h.reg.mu.Unlock()
+	return child{h.reg, h.inst.touch(labelValues)}
+}
+
+// With resolves the counter series for the label values.
+func (c *Counter) With(labelValues ...string) CounterChild {
+	return CounterChild{c.with(labelValues)}
+}
+
+// With resolves the gauge series for the label values.
+func (g *Gauge) With(labelValues ...string) GaugeChild {
+	return GaugeChild{g.with(labelValues)}
+}
+
+// With resolves the histogram series for the label values.
+func (h *Histogram) With(labelValues ...string) HistogramChild {
+	return HistogramChild{h.with(labelValues), h.inst.buckets}
+}
+
+// Add increments the series by delta, which must be non-negative.
+func (c CounterChild) Add(delta float64) {
+	if delta < 0 {
+		panic(fmt.Sprintf("metrics: counter series %s: negative delta %g", c.s.key, delta))
+	}
+	c.reg.mu.Lock()
+	c.s.value += delta
+	c.reg.mu.Unlock()
+}
+
+// Inc increments the series by one.
+func (c CounterChild) Inc() { c.Add(1) }
+
+// Set sets the series.
+func (g GaugeChild) Set(v float64) {
+	g.reg.mu.Lock()
+	g.s.value = v
+	g.reg.mu.Unlock()
+}
+
+// Add moves the series by delta.
+func (g GaugeChild) Add(delta float64) {
+	g.reg.mu.Lock()
+	g.s.value += delta
+	g.reg.mu.Unlock()
+}
+
+// Observe records one observation into the series.
+func (h HistogramChild) Observe(v float64) {
+	h.reg.mu.Lock()
+	h.s.observe(v, h.buckets)
+	h.reg.mu.Unlock()
+}
+
+// observe adds v to a histogram series with the given bucket bounds.
+// Callers hold the registry lock.
+func (s *series) observe(v float64, buckets []float64) {
 	s.count++
 	s.sum += v
-	for i, ub := range h.inst.buckets {
+	for i, ub := range buckets {
 		if v <= ub {
 			s.binCt[i]++
 		}
 	}
-	h.reg.mu.Unlock()
 }
 
 // WritePrometheus renders the registry in the Prometheus text

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -227,5 +228,51 @@ func TestFormatBound(t *testing.T) {
 	}
 	if got := formatBound(0.25); got != "0.25" {
 		t.Fatalf("formatBound(0.25) = %q", got)
+	}
+}
+
+// TestBoundChildrenObserveTheirSeries: a child resolved with With
+// observes the same series as the labeled calls, and exposition is
+// byte for byte what the labeled calls alone produce.
+func TestBoundChildrenObserveTheirSeries(t *testing.T) {
+	build := func(bound bool) *Registry {
+		r := NewRegistry()
+		c := r.Counter("c_total", "c", "pilot", "scheduler")
+		g := r.Gauge("g", "g", "pilot")
+		h := r.Histogram("h_seconds", "h", []float64{1, 10}, "pilot")
+		if bound {
+			cc, gc, hc := c.With("p1", "backfill"), g.With("p1"), h.With("p1")
+			cc.Inc()
+			cc.Add(2)
+			gc.Add(5)
+			gc.Add(-2)
+			hc.Observe(0.5)
+			hc.Observe(20)
+			g.With("p2").Set(7)
+		} else {
+			c.Inc("p1", "backfill")
+			c.Add(2, "p1", "backfill")
+			g.Add(5, "p1")
+			g.Add(-2, "p1")
+			h.Observe(0.5, "p1")
+			h.Observe(20, "p1")
+			g.Set(7, "p2")
+		}
+		return r
+	}
+	var bound, labeled bytes.Buffer
+	if err := build(true).WritePrometheus(&bound); err != nil {
+		t.Fatal(err)
+	}
+	if err := build(false).WritePrometheus(&labeled); err != nil {
+		t.Fatal(err)
+	}
+	if bound.String() != labeled.String() {
+		t.Fatalf("bound children expose\n%s\nlabeled calls expose\n%s", bound.String(), labeled.String())
+	}
+	r := NewRegistry()
+	r.Counter("resolved_total", "", "op").With("hit")
+	if v, ok := r.Value("resolved_total", "hit"); !ok || v != 0 {
+		t.Fatalf("a resolved child's series = %v, %v; want 0, true", v, ok)
 	}
 }

@@ -33,19 +33,6 @@ func (l *blockLog[T]) add(v T) {
 	l.n++
 }
 
-// all returns every entry in append order as one exact-size copy (nil
-// when empty).
-func (l *blockLog[T]) all() []T {
-	if l.n == 0 {
-		return nil
-	}
-	out := make([]T, 0, l.n)
-	for _, b := range l.blocks {
-		out = append(out, b...)
-	}
-	return out
-}
-
 // last returns the most recent entry (the zero value when empty).
 func (l *blockLog[T]) last() T {
 	var zero T

@@ -32,8 +32,8 @@ func TestBlockLogSizes(t *testing.T) {
 		}
 		want = min(2*want, maxBlock)
 	}
-	if l.n != 3*maxBlock || len(l.all()) != 3*maxBlock {
-		t.Fatalf("n = %d, all = %d, want %d", l.n, len(l.all()), 3*maxBlock)
+	if l.n != 3*maxBlock || l.last() != 3*maxBlock-1 {
+		t.Fatalf("n = %d, last = %d, want %d entries", l.n, l.last(), 3*maxBlock)
 	}
 }
 

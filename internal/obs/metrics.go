@@ -42,7 +42,7 @@ type Bridge struct {
 	unitsDone    *metrics.Counter
 	unitsFailed  *metrics.Counter
 	unitsRunning *metrics.Gauge
-	unitsHeld    *metrics.Gauge
+	unitsHeld    metrics.GaugeChild
 	bindLatency  *metrics.Histogram
 	unitDuration *metrics.Histogram
 	autoscale    *metrics.Counter
@@ -51,19 +51,50 @@ type Bridge struct {
 	replicaBytes *metrics.Counter
 	storeFails   *metrics.Counter
 
-	units map[string]*unitTrack
+	// Series the per-event path observes, each resolved on its first
+	// observation (so exposition shows exactly the series observed):
+	// pilot_events_total by kind, and the per-pilot set by pilot ID.
+	kinds      [numKinds]*metrics.CounterChild
+	pilots     []*pilotSeries
+	pilotIdx   map[string]int32 // pilot ID → index in pilots
+	schedulers []string         // scheduler names the tracks refer to
+
+	// units maps each in-flight unit to its track in tracks; free lists
+	// the tracks of finished units, for reuse.
+	units  map[string]int32
+	tracks []unitTrack
+	free   []int32
+}
+
+// pilotSeries are one pilot's resolved series; a nil field is one not
+// yet observed. scheds holds the series also labeled by scheduler, in
+// order of first use (a pilot rarely sees more than one).
+type pilotSeries struct {
+	id       string
+	running  *metrics.GaugeChild
+	failed   *metrics.CounterChild
+	duration *metrics.HistogramChild
+	scheds   []*schedSeries
+}
+
+// schedSeries are one (pilot, scheduler) pair's resolved series.
+type schedSeries struct {
+	name    string
+	done    *metrics.CounterChild
+	latency *metrics.HistogramChild
 }
 
 // unitTrack is the per-unit state the bridge needs to turn state-event
-// pairs into latencies. Entries are dropped at final states so the map
-// stays bounded by in-flight units, not stream length.
+// pairs into latencies, kept by value in the bridge's tracks. A unit's
+// track is released at its final state, so the tracks stay bounded by
+// in-flight units, not stream length.
 type unitTrack struct {
 	submitted    time.Duration
-	hasSubmitted bool
 	executing    time.Duration
+	pilot        int32 // index in pilots plus one; 0 until an event names one
+	scheduler    int32 // index in schedulers plus one; 0 for none
+	hasSubmitted bool
 	hasExecuting bool
-	pilot        string
-	scheduler    string
 	cached       bool
 }
 
@@ -81,7 +112,7 @@ func NewBridge(reg *metrics.Registry) *Bridge {
 		unitsRunning: reg.Gauge("pilot_units_running",
 			"compute units currently executing", "pilot"),
 		unitsHeld: reg.Gauge("pilot_units_held",
-			"compute units parked in Unit-Manager hold states"),
+			"compute units parked in Unit-Manager hold states").With(),
 		bindLatency: reg.Histogram("bind_latency_seconds",
 			"virtual seconds from UMGR_SCHEDULING to the scheduler bind",
 			nil, "pilot", "scheduler"),
@@ -98,36 +129,107 @@ func NewBridge(reg *metrics.Registry) *Bridge {
 			"bytes moved by replica operations", "op", "store"),
 		storeFails: reg.Counter("data_store_failures_total",
 			"data pilots killed by failure injection", "store"),
-		units: make(map[string]*unitTrack),
+		pilotIdx: make(map[string]int32),
+		units:    make(map[string]int32),
 	}
 }
 
 // Registry returns the registry the bridge feeds.
 func (b *Bridge) Registry() *metrics.Registry { return b.reg }
 
-// track returns (creating) the per-unit state for id.
-func (b *Bridge) track(id string) *unitTrack {
-	t, ok := b.units[id]
+// pilot returns the index plus one of pilot id's series set, creating
+// it (with no series resolved) on first use.
+func (b *Bridge) pilot(id string) int32 {
+	i, ok := b.pilotIdx[id]
 	if !ok {
-		t = &unitTrack{}
-		b.units[id] = t
+		b.pilots = append(b.pilots, &pilotSeries{id: id})
+		i = int32(len(b.pilots))
+		b.pilotIdx[id] = i
 	}
-	return t
+	return i
+}
+
+// schedulerRef returns the index plus one of scheduler name.
+func (b *Bridge) schedulerRef(name string) int32 {
+	for i, s := range b.schedulers {
+		if s == name {
+			return int32(i + 1)
+		}
+	}
+	b.schedulers = append(b.schedulers, name)
+	return int32(len(b.schedulers))
+}
+
+// sched returns the (pilot, scheduler) series set.
+func (b *Bridge) sched(ps *pilotSeries, name string) *schedSeries {
+	for _, ss := range ps.scheds {
+		if ss.name == name {
+			return ss
+		}
+	}
+	ss := &schedSeries{name: name}
+	ps.scheds = append(ps.scheds, ss)
+	return ss
+}
+
+// track returns id's track, starting a zero one for a unit not in
+// flight.
+func (b *Bridge) track(id string) *unitTrack {
+	i, ok := b.units[id]
+	if !ok {
+		if n := len(b.free); n > 0 {
+			i, b.free = b.free[n-1], b.free[:n-1]
+			b.tracks[i] = unitTrack{}
+		} else {
+			i = int32(len(b.tracks))
+			b.tracks = append(b.tracks, unitTrack{})
+		}
+		b.units[id] = i
+	}
+	return &b.tracks[i]
+}
+
+// release drops id's track once the unit is final.
+func (b *Bridge) release(id string) {
+	b.free = append(b.free, b.units[id])
+	delete(b.units, id)
+}
+
+// onPilot returns t's pilot series set, the unnamed pilot's while no
+// event has named one.
+func (b *Bridge) onPilot(t *unitTrack) *pilotSeries {
+	if t.pilot == 0 {
+		t.pilot = b.pilot("")
+	}
+	return b.pilots[t.pilot-1]
 }
 
 // Apply folds one event into the instrument set. Events must arrive in
 // record order (they do, from OnRecord or a replayed Events() slice).
 func (b *Bridge) Apply(ev Event) {
-	b.events.Inc(string(ev.Kind))
+	if ev.Kind >= 0 && int(ev.Kind) < len(b.kinds) {
+		c := b.kinds[ev.Kind]
+		if c == nil {
+			c = resolved(b.events.With(ev.Kind.String()))
+			b.kinds[ev.Kind] = c
+		}
+		c.Inc()
+	} else {
+		b.events.Inc(ev.Kind.String())
+	}
 	switch ev.Kind {
 	case KindUnitState:
-		b.applyUnitState(ev)
+		b.applyUnitState(&ev)
 	case KindBind:
 		t := b.track(ev.Unit)
-		t.pilot = ev.Pilot
-		t.scheduler = ev.Policy
+		t.pilot = b.pilot(ev.Pilot)
+		t.scheduler = b.schedulerRef(ev.Policy)
 		if t.hasSubmitted {
-			b.bindLatency.Observe((ev.At - t.submitted).Seconds(), ev.Pilot, ev.Policy)
+			ss := b.sched(b.pilots[t.pilot-1], ev.Policy)
+			if ss.latency == nil {
+				ss.latency = resolved(b.bindLatency.With(ev.Pilot, ev.Policy))
+			}
+			ss.latency.Observe((ev.At - t.submitted).Seconds())
 		}
 	case KindHold:
 		b.unitsHeld.Add(1)
@@ -153,10 +255,10 @@ func (b *Bridge) Apply(ev Event) {
 }
 
 // applyUnitState folds a Compute-Unit state transition.
-func (b *Bridge) applyUnitState(ev Event) {
+func (b *Bridge) applyUnitState(ev *Event) {
 	t := b.track(ev.Unit)
-	if ev.Pilot != "" {
-		t.pilot = ev.Pilot
+	if ev.Pilot != "" && (t.pilot == 0 || b.pilots[t.pilot-1].id != ev.Pilot) {
+		t.pilot = b.pilot(ev.Pilot)
 	}
 	switch ev.State {
 	case "UMGR_SCHEDULING":
@@ -165,26 +267,52 @@ func (b *Bridge) applyUnitState(ev Event) {
 	case "AGENT_EXECUTING":
 		t.executing = ev.At
 		t.hasExecuting = true
-		b.unitsRunning.Add(1, t.pilot)
+		b.running(b.onPilot(t)).Add(1)
 	case "DONE":
-		sched := t.scheduler
+		sched := ""
+		if t.scheduler != 0 {
+			sched = b.schedulers[t.scheduler-1]
+		}
 		if sched == "" && t.cached {
 			sched = "cache"
 		}
-		b.unitsDone.Inc(t.pilot, sched)
-		if t.hasExecuting {
-			b.unitDuration.Observe((ev.At - t.executing).Seconds(), t.pilot)
-			b.unitsRunning.Add(-1, t.pilot)
+		ps := b.onPilot(t)
+		ss := b.sched(ps, sched)
+		if ss.done == nil {
+			ss.done = resolved(b.unitsDone.With(ps.id, sched))
 		}
-		delete(b.units, ev.Unit)
+		ss.done.Inc()
+		if t.hasExecuting {
+			if ps.duration == nil {
+				ps.duration = resolved(b.unitDuration.With(ps.id))
+			}
+			ps.duration.Observe((ev.At - t.executing).Seconds())
+			b.running(ps).Add(-1)
+		}
+		b.release(ev.Unit)
 	case "FAILED", "CANCELED":
-		b.unitsFailed.Inc(t.pilot)
-		if t.hasExecuting {
-			b.unitsRunning.Add(-1, t.pilot)
+		ps := b.onPilot(t)
+		if ps.failed == nil {
+			ps.failed = resolved(b.unitsFailed.With(ps.id))
 		}
-		delete(b.units, ev.Unit)
+		ps.failed.Inc()
+		if t.hasExecuting {
+			b.running(ps).Add(-1)
+		}
+		b.release(ev.Unit)
 	}
 }
+
+// running returns the pilot's pilot_units_running series.
+func (b *Bridge) running(ps *pilotSeries) *metrics.GaugeChild {
+	if ps.running == nil {
+		ps.running = resolved(b.unitsRunning.With(ps.id))
+	}
+	return ps.running
+}
+
+// resolved moves a resolved series child to the heap, once per series.
+func resolved[T any](c T) *T { return &c }
 
 // MetricsFromEvents replays a recorded event stream through a fresh
 // bridge and returns the populated registry — the after-the-fact path

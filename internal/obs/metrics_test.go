@@ -63,7 +63,7 @@ func TestMetricsFromEvents(t *testing.T) {
 	if count != 3 || sum != 30 {
 		t.Errorf("unit duration stats = %d, %v; want 3, 30", count, sum)
 	}
-	if v, _ := reg.Value("pilot_events_total", string(KindUnitState)); v == 0 {
+	if v, _ := reg.Value("pilot_events_total", KindUnitState.String()); v == 0 {
 		t.Error("pilot_events_total{unit-state} never counted")
 	}
 }

@@ -1,9 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strconv"
 	"time"
 )
 
@@ -42,36 +45,149 @@ type GaugeSample struct {
 }
 
 // Series is an append-only sequence of gauge samples in time order,
-// kept in a block log like the recorder's events.
+// kept in a block log like the recorder's events and, like them, in a
+// compact form: a 48-byte sampleRecord with no pointers. A sample that
+// carries result-cache or store gauges (or a count beyond 32 bits) is
+// kept whole in a side table instead.
 type Series struct {
-	samples blockLog[GaugeSample]
+	samples blockLog[sampleRecord]
+	whole   []GaugeSample
+}
+
+// sampleRecord is a stored gauge sample: the seven unit and core counts
+// in order of GaugeSample's fields, or, when whole is set, the index
+// plus one of the sample kept whole.
+type sampleRecord struct {
+	at    time.Duration
+	util  float64
+	ints  [7]int32
+	whole int32
 }
 
 // Add appends a sample.
-func (s *Series) Add(g GaugeSample) { s.samples.add(g) }
+func (s *Series) Add(g GaugeSample) {
+	rec := sampleRecord{at: g.At, util: g.Utilization}
+	ok := g.Cell == "" && g.T == 0 && g.CacheEntries == 0 && g.CacheBytes == 0 && g.StoreFree == nil
+	for i, v := range [7]int{g.QueueDepth, g.WaitingCores, g.HeldUnits, g.HeldCores,
+		g.RunningUnits, g.RunningCores, g.TotalCores} {
+		rec.ints[i] = int32(v)
+		ok = ok && int(rec.ints[i]) == v
+	}
+	if !ok {
+		s.whole = append(s.whole, g)
+		rec = sampleRecord{at: g.At, whole: int32(len(s.whole))}
+	}
+	s.samples.add(rec)
+}
+
+// sample decodes a stored sample.
+func (s *Series) sample(rec *sampleRecord) GaugeSample {
+	if rec.whole != 0 {
+		return s.whole[rec.whole-1]
+	}
+	return GaugeSample{
+		At: rec.at, Utilization: rec.util,
+		QueueDepth: int(rec.ints[0]), WaitingCores: int(rec.ints[1]),
+		HeldUnits: int(rec.ints[2]), HeldCores: int(rec.ints[3]),
+		RunningUnits: int(rec.ints[4]), RunningCores: int(rec.ints[5]),
+		TotalCores: int(rec.ints[6]),
+	}
+}
 
 // Len reports the number of samples.
 func (s *Series) Len() int { return s.samples.n }
 
 // Samples returns the samples in record order, as one exact-size copy.
-func (s *Series) Samples() []GaugeSample { return s.samples.all() }
+func (s *Series) Samples() []GaugeSample {
+	if s.samples.n == 0 {
+		return nil
+	}
+	out := make([]GaugeSample, 0, s.samples.n)
+	for _, b := range s.samples.blocks {
+		for i := range b {
+			out = append(out, s.sample(&b[i]))
+		}
+	}
+	return out
+}
 
 // Last returns the most recent sample (zero when empty).
-func (s *Series) Last() GaugeSample { return s.samples.last() }
+func (s *Series) Last() GaugeSample {
+	if s.samples.n == 0 {
+		return GaugeSample{}
+	}
+	rec := s.samples.last()
+	return s.sample(&rec)
+}
 
 // WriteJSONL renders the series as one JSON object per line, each
 // carrying the cell label (omitted when empty) and the sample time as
-// seconds in "t" — the shape plotting scripts consume directly.
+// seconds in "t" — the shape plotting scripts consume directly. Each
+// line is appended straight to a buffered writer, byte for byte as
+// encoding/json would encode the GaugeSample.
 func (s *Series) WriteJSONL(w io.Writer, cell string) error {
-	enc := json.NewEncoder(w)
-	for _, b := range s.samples.blocks {
-		for _, g := range b {
-			g.Cell = cell
-			g.T = g.At.Seconds()
-			if err := enc.Encode(g); err != nil {
-				return fmt.Errorf("obs: series encode: %w", err)
+	bw := bufio.NewWriter(w)
+	var b []byte
+	var keys []string
+	for _, blk := range s.samples.blocks {
+		for i := range blk {
+			g := s.sample(&blk[i])
+			if math.IsNaN(g.Utilization) || math.IsInf(g.Utilization, 0) {
+				return fmt.Errorf("obs: series encode: unsupported utilization %v", g.Utilization)
 			}
+			b = append(b[:0], '{')
+			if cell != "" {
+				b = append(b, `"cell":`...)
+				b = appendString(b, cell)
+				b = append(b, ',')
+			}
+			b = append(b, `"t":`...)
+			b = appendFloat(b, g.At.Seconds())
+			b = appendIntField(b, `,"queue_depth":`, int64(g.QueueDepth))
+			b = appendIntField(b, `,"waiting_cores":`, int64(g.WaitingCores))
+			b = appendIntField(b, `,"held_units":`, int64(g.HeldUnits))
+			b = appendIntField(b, `,"held_cores":`, int64(g.HeldCores))
+			b = appendIntField(b, `,"running_units":`, int64(g.RunningUnits))
+			b = appendIntField(b, `,"running_cores":`, int64(g.RunningCores))
+			b = appendIntField(b, `,"total_cores":`, int64(g.TotalCores))
+			b = append(b, `,"utilization":`...)
+			b = appendFloat(b, g.Utilization)
+			if g.CacheEntries != 0 {
+				b = appendIntField(b, `,"cache_entries":`, int64(g.CacheEntries))
+			}
+			if g.CacheBytes != 0 {
+				b = appendIntField(b, `,"cache_bytes":`, g.CacheBytes)
+			}
+			if len(g.StoreFree) > 0 {
+				keys = keys[:0]
+				for k := range g.StoreFree {
+					keys = append(keys, k)
+				}
+				slices.Sort(keys)
+				b = append(b, `,"store_free":`...)
+				for j, k := range keys {
+					if j == 0 {
+						b = append(b, '{')
+					} else {
+						b = append(b, ',')
+					}
+					b = appendString(b, k)
+					b = strconv.AppendInt(append(b, ':'), g.StoreFree[k], 10)
+				}
+				b = append(b, '}')
+			}
+			bw.Write(append(b, '}', '\n'))
 		}
 	}
+	// The bufio.Writer keeps the first write error; Flush returns it.
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("obs: series encode: %w", err)
+	}
 	return nil
+}
+
+// appendIntField appends a key (with its leading comma and colon) and
+// an integer value.
+func appendIntField(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
 }

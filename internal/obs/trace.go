@@ -23,13 +23,26 @@ type Cell struct {
 // DoneUnits counts the distinct Compute-Units whose event stream
 // reports a DONE state — exactly the spans WriteChromeTrace emits.
 func DoneUnits(events []Event) int {
-	done := make(map[string]struct{})
-	for _, ev := range events {
-		if ev.Kind == KindUnitState && ev.State == "DONE" {
+	done := make(map[string]struct{}, countDone(events))
+	for i := range events {
+		if ev := &events[i]; ev.Kind == KindUnitState && ev.State == "DONE" {
 			done[ev.Unit] = struct{}{}
 		}
 	}
 	return len(done)
+}
+
+// countDone counts the DONE unit-state events: the number of distinct
+// units a reader tracks, on a stream where each unit finishes once. The
+// readers size their maps to it up front.
+func countDone(events []Event) int {
+	n := 0
+	for i := range events {
+		if ev := &events[i]; ev.Kind == KindUnitState && ev.State == "DONE" {
+			n++
+		}
+	}
+	return n
 }
 
 // WriteChromeTrace renders one event stream as a Chrome trace-event
@@ -88,6 +101,34 @@ type span struct {
 // micros converts virtual time to trace microseconds.
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
+// exactMicros bounds the durations appendMicros writes as decimals:
+// below 2^40 µs, doubles are spaced under 0.001 apart, so the shortest
+// decimal that round-trips micros(d) is d/1000 itself.
+const exactMicros = time.Duration(1<<40) * time.Microsecond
+
+// appendMicros appends micros(d) as appendFloat would, writing d/1000
+// in decimal with its trailing zeros trimmed instead of running the
+// float formatter.
+func appendMicros(b []byte, d time.Duration) []byte {
+	if d <= -exactMicros || d >= exactMicros {
+		return appendFloat(b, micros(d))
+	}
+	if d < 0 {
+		b = append(b, '-')
+		d = -d
+	}
+	b = strconv.AppendInt(b, int64(d/time.Microsecond), 10)
+	frac := int(d % time.Microsecond)
+	if frac == 0 {
+		return b
+	}
+	b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+	for b[len(b)-1] == '0' {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
 // isInstant reports whether ev renders as an instant on its group's
 // track 0.
 func isInstant(ev *Event) bool {
@@ -119,8 +160,9 @@ type chromeWriter struct {
 // instants for decisions, with metadata naming each group ahead of its
 // spans.
 func (cw *chromeWriter) cell(c Cell, nextPid *int) {
-	units := make(map[string]int)
-	var tl []unitTimeline
+	n := countDone(c.Events)
+	units := make(map[string]int, n)
+	tl := make([]unitTimeline, 0, n)
 	lookup := func(id string) *unitTimeline {
 		i, ok := units[id]
 		if !ok {
@@ -236,7 +278,7 @@ func (cw *chromeWriter) cell(c Cell, nextPid *int) {
 
 // begin starts a trace event with the fields every kind carries ahead
 // of the optional ones: name, cat (omitted when empty), ph and ts.
-func (cw *chromeWriter) begin(name, cat, ph string, ts float64) []byte {
+func (cw *chromeWriter) begin(name, cat, ph string, ts time.Duration) []byte {
 	b := cw.b[:0]
 	if cw.n > 0 {
 		b = append(b, ',')
@@ -251,7 +293,7 @@ func (cw *chromeWriter) begin(name, cat, ph string, ts float64) []byte {
 	b = append(b, `,"ph":`...)
 	b = appendString(b, ph)
 	b = append(b, `,"ts":`...)
-	return appendFloat(b, ts)
+	return appendMicros(b, ts)
 }
 
 // ids appends the pid and tid fields.
@@ -284,9 +326,9 @@ func (cw *chromeWriter) span(u *unitTimeline, s span, pid, tid int) {
 	if name == "" {
 		name = u.id
 	}
-	b := cw.begin(name, "unit", "X", micros(s.start))
+	b := cw.begin(name, "unit", "X", s.start)
 	b = append(b, `,"dur":`...)
-	b = appendFloat(b, micros(s.end-s.start))
+	b = appendMicros(b, s.end-s.start)
 	b = ids(b, pid, tid)
 	b = append(b, `,"args":{`...)
 	if u.cached {
@@ -301,11 +343,12 @@ func (cw *chromeWriter) span(u *unitTimeline, s span, pid, tid int) {
 // args appear in sorted key order, as encoding/json writes a map, and
 // the object is omitted when ev carries none of them.
 func (cw *chromeWriter) instant(ev *Event, pid int) {
-	name := string(ev.Kind)
+	kind := ev.Kind.String()
+	name := kind
 	if ev.Op != "" {
 		name += ":" + ev.Op
 	}
-	b := cw.begin(name, string(ev.Kind), "i", micros(ev.At))
+	b := cw.begin(name, kind, "i", ev.At)
 	b = ids(b, pid, 0)
 	b = append(b, `,"s":"p"`...)
 	next := `,"args":{"`
@@ -314,9 +357,18 @@ func (cw *chromeWriter) instant(ev *Event, pid int) {
 		b = strconv.AppendInt(b, int64(ev.Applied), 10)
 		next = `,"`
 	}
-	if ev.Detail != "" {
+	switch {
+	case ev.Detail != "":
 		b = append(append(b, next...), `detail":`...)
 		b = appendString(b, ev.Detail)
+		next = `,"`
+	case ev.Kind == KindBind && ev.Nodes != 0:
+		// A bind's load detail, built from its two core counts.
+		b = append(append(b, next...), `detail":"`...)
+		b = strconv.AppendInt(b, int64(ev.Running), 10)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(ev.Nodes), 10)
+		b = append(b, ` cores in flight"`...)
 		next = `,"`
 	}
 	if ev.Policy != "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -171,8 +172,8 @@ func TestWriteChromeTraceCellsEmptyCell(t *testing.T) {
 	}
 }
 
-// TestAppendScalarsMatchJSON: the exporter's float and string encoders
-// write what json.Marshal writes, across the exponent-form thresholds
+// TestAppendScalarsMatchJSON: the exporter's float, microsecond and
+// string encoders write what json.Marshal writes, across the exponent-form thresholds
 // (below 1e-6, from 1e21 up) that virtual-time microseconds never
 // reach, and across every escaping rule.
 func TestAppendScalarsMatchJSON(t *testing.T) {
@@ -186,6 +187,18 @@ func TestAppendScalarsMatchJSON(t *testing.T) {
 		}
 		if got := appendFloat(nil, f); string(got) != string(want) {
 			t.Errorf("appendFloat(%v) = %s, want %s", f, got, want)
+		}
+	}
+	durs := []time.Duration{0, 1, -1, 10, 999, 1000, 1001, 1010, 1100, -1500, 123456789, 7 * time.Hour,
+		exactMicros - 1, exactMicros, -exactMicros, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		durs = append(durs, time.Duration(rng.Int63n(int64(exactMicros))))
+	}
+	for _, d := range durs {
+		want, _ := json.Marshal(micros(d))
+		if got := appendMicros(nil, d); string(got) != string(want) {
+			t.Errorf("appendMicros(%d) = %s, want %s", d, got, want)
 		}
 	}
 	strs := []string{"", "plain-id.0001", `"q"`, `back\slash`, "<>&", "<", ">", "&", "\b\f\n\r\t", "\x00\x1f\x7f",

@@ -201,7 +201,7 @@ func refCellTraceEvents(c obs.Cell, nextPid *int) []refTraceEvent {
 		}
 	}
 	for _, ev := range instants {
-		name := string(ev.Kind)
+		name := ev.Kind.String()
 		if ev.Op != "" {
 			name += ":" + ev.Op
 		}
@@ -217,9 +217,11 @@ func refCellTraceEvents(c obs.Cell, nextPid *int) []refTraceEvent {
 		}
 		if ev.Detail != "" {
 			args["detail"] = ev.Detail
+		} else if ev.Kind == obs.KindBind && ev.Nodes != 0 {
+			args["detail"] = fmt.Sprintf("%d/%d cores in flight", ev.Running, ev.Nodes)
 		}
 		out = append(out, refTraceEvent{
-			Name: name, Cat: string(ev.Kind), Ph: "i", S: "p",
+			Name: name, Cat: ev.Kind.String(), Ph: "i", S: "p",
 			Ts: refMicros(ev.At), Pid: pids[instantTrack(ev)], Tid: 0,
 			Args: args,
 		})

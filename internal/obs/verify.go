@@ -11,7 +11,7 @@ import "fmt"
 // unit. Returns nil when the invariants hold, else an error naming the
 // lexically first offending unit.
 func VerifyBinds(events []Event) error {
-	tallies := make(map[string]bindTally)
+	tallies := make(map[string]bindTally, countDone(events))
 	for i := range events {
 		ev := &events[i]
 		switch {

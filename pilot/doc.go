@@ -178,9 +178,17 @@
 // recorded once, as its typed event). On every scheduling event the
 // recorder also samples ClusterView into a Series of live gauges
 // (cores, utilization, demand, cache counters), exportable as JSON
-// Lines. Events and samples are kept in blocks that are never copied
-// as the recording grows; Recorder.Events and Series.Samples each
-// return one exact-size copy.
+// Lines. The recorder keeps each event as a compact record with no
+// pointers — one-byte kind, state and op enums, each unit's ID and
+// name stored once, pilot IDs and policy names interned, rare free
+// text in a side table — in blocks that are never copied as the
+// recording grows, so recording allocates almost nothing and the
+// garbage collector never scans the log. Strings are built only at
+// the edges: Recorder.Events and Series.Samples decode the log into
+// one exact-size slice each, and the exporters write their text
+// directly. A bind event carries the chosen pilot's cores in flight
+// and total cores as two ints (TraceEvent.Running and Nodes); the
+// Chrome export renders them as the "N/M cores in flight" detail.
 //
 // Four consumers sit on the stream: WriteChromeTrace and
 // WriteChromeTraceCells render it as Chrome trace-event JSON viewable

@@ -1,6 +1,7 @@
 package pilot_test
 
 import (
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -49,6 +50,62 @@ func TestSoakPlainSessionMemoryStaysBounded(t *testing.T) {
 	if first, last := heap[0], heap[waves-1]; float64(last) > 1.05*float64(first) {
 		t.Fatalf("live heap grew from %d B after wave 1 to %d B after wave %d (+%.1f%%), want at most +5%%; per wave: %v",
 			first, last, waves, 100*(float64(last)/float64(first)-1), heap)
+	}
+}
+
+// TestSoakRecordedSessionGrowthPerUnit runs the same waves with the
+// observability plane on: a flight recorder, the metrics bridge fed
+// through OnRecord, and a Prometheus scrape (to a discard writer, no
+// socket) after each wave. The recorder keeps every event for the life
+// of the session, so the live heap grows with the run; this test bounds
+// that growth per unit. The compact event log holds it at a few hundred
+// bytes per unit, where the 224-byte, seven-string events it replaced
+// took about 2.1 KB. Bounding the recorded session to the plain one's
+// +5%, with a retention window instead of the whole log, is still open.
+func TestSoakRecordedSessionGrowthPerUnit(t *testing.T) {
+	const waves, perWave, maxPerUnit = 5, 2000, 700
+	e := newTestEnv(t, 2)
+	rec := pilot.NewRecorder(e.eng)
+	e.session.AttachRecorder(rec)
+	reg := pilot.NewMetricsRegistry()
+	rec.OnRecord(pilot.NewMetricsBridge(reg).Apply)
+	var heap []uint64
+	e.run(t, func(p *sim.Proc) {
+		pm := pilot.NewPilotManager(e.session)
+		pl, err := pm.Submit(p, pilot.PilotDescription{
+			Resource: "tm", Nodes: 2, Runtime: 4 * time.Hour, Mode: pilot.ModeHPC,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !pl.WaitState(p, pilot.PilotActive) {
+			t.Errorf("pilot never active: %v", pl.State())
+			return
+		}
+		um := newUM(t, e.session)
+		um.AddPilot(pl)
+		body := func(bp *sim.Proc, _ *pilot.UnitContext) { bp.Sleep(time.Second) }
+		for w := 0; w < waves; w++ {
+			if !runWave(t, p, um, perWave, body) {
+				return
+			}
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+			heap = append(heap, liveHeap())
+		}
+		pl.Cancel()
+	})
+	if len(heap) != waves {
+		t.Fatalf("%d of %d waves completed", len(heap), waves)
+	}
+	perUnit := (float64(heap[waves-1]) - float64(heap[0])) / float64((waves-1)*perWave)
+	t.Logf("live heap after each wave: %v B; %.0f B per unit, %d events recorded, %d samples", heap, perUnit, rec.Len(), rec.Series().Len())
+	if perUnit > maxPerUnit {
+		t.Fatalf("live heap grew %.0f B per unit over waves 2-%d, want at most %d B; per wave: %v",
+			perUnit, waves, maxPerUnit, heap)
 	}
 }
 
