@@ -279,13 +279,6 @@ func (c CounterChild) Add(delta float64) {
 // Inc increments the series by one.
 func (c CounterChild) Inc() { c.Add(1) }
 
-// Set sets the series.
-func (g GaugeChild) Set(v float64) {
-	g.reg.mu.Lock()
-	g.s.value = v
-	g.reg.mu.Unlock()
-}
-
 // Add moves the series by delta.
 func (g GaugeChild) Add(delta float64) {
 	g.reg.mu.Lock()

@@ -248,7 +248,7 @@ func TestBoundChildrenObserveTheirSeries(t *testing.T) {
 			gc.Add(-2)
 			hc.Observe(0.5)
 			hc.Observe(20)
-			g.With("p2").Set(7)
+			g.With("p2").Add(7)
 		} else {
 			c.Inc("p1", "backfill")
 			c.Add(2, "p1", "backfill")
@@ -256,7 +256,7 @@ func TestBoundChildrenObserveTheirSeries(t *testing.T) {
 			g.Add(-2, "p1")
 			h.Observe(0.5, "p1")
 			h.Observe(20, "p1")
-			g.Set(7, "p2")
+			g.Add(7, "p2")
 		}
 		return r
 	}

@@ -15,12 +15,10 @@ import (
 // attached data pilot's label to its store's remaining capacity (-1
 // for an unbounded store).
 type GaugeSample struct {
-	// At is the virtual time of the sample; Cell labels the
-	// experiment cell when written through WriteJSONL.
-	At   time.Duration `json:"-"`
-	Cell string        `json:"cell,omitempty"`
-	// T is At in seconds, the JSONL representation.
-	T float64 `json:"t"`
+	// At is the virtual time of the sample. A WriteJSONL line starts
+	// with the cell label ("cell", omitted when empty) and At in
+	// seconds ("t"), then carries the fields below under their keys.
+	At time.Duration `json:"-"`
 
 	// QueueDepth is the waiting (bindable, not yet executing) unit
 	// count; WaitingCores their summed demand.
@@ -67,7 +65,7 @@ type sampleRecord struct {
 // Add appends a sample.
 func (s *Series) Add(g GaugeSample) {
 	rec := sampleRecord{at: g.At, util: g.Utilization}
-	ok := g.Cell == "" && g.T == 0 && g.CacheEntries == 0 && g.CacheBytes == 0 && g.StoreFree == nil
+	ok := g.CacheEntries == 0 && g.CacheBytes == 0 && g.StoreFree == nil
 	for i, v := range [7]int{g.QueueDepth, g.WaitingCores, g.HeldUnits, g.HeldCores,
 		g.RunningUnits, g.RunningCores, g.TotalCores} {
 		rec.ints[i] = int32(v)

@@ -56,12 +56,13 @@ func TestSoakPlainSessionMemoryStaysBounded(t *testing.T) {
 // TestSoakRecordedSessionGrowthPerUnit runs the same waves with the
 // observability plane on: a flight recorder, the metrics bridge fed
 // through OnRecord, and a Prometheus scrape (to a discard writer, no
-// socket) after each wave. The recorder keeps every event for the life
-// of the session, so the live heap grows with the run; this test bounds
-// that growth per unit. The compact event log holds it at a few hundred
-// bytes per unit, where the 224-byte, seven-string events it replaced
-// took about 2.1 KB. Bounding the recorded session to the plain one's
-// +5%, with a retention window instead of the whole log, is still open.
+// socket) after each wave. The recorder keeps every event and gauge
+// sample for the life of the session, so the live heap grows with the
+// run; this test bounds that growth per unit at 700 B, a third of the
+// 2.1 KB per unit a recording took when each event was a 224-byte
+// struct of seven strings. Holding a recorded session to the plain
+// one's +5% needs a bounded retention window instead of the whole log,
+// and is still open.
 func TestSoakRecordedSessionGrowthPerUnit(t *testing.T) {
 	const waves, perWave, maxPerUnit = 5, 2000, 700
 	e := newTestEnv(t, 2)
