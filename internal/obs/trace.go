@@ -362,8 +362,8 @@ func (cw *chromeWriter) instant(ev *Event, pid int) {
 		b = append(append(b, next...), `detail":`...)
 		b = appendString(b, ev.Detail)
 		next = `,"`
-	case ev.Kind == KindBind && ev.Nodes != 0:
-		// A bind's load detail, built from its two core counts.
+	case ev.Kind == KindBind:
+		// A bind's detail is the load it was decided on.
 		b = append(append(b, next...), `detail":"`...)
 		b = strconv.AppendInt(b, int64(ev.Running), 10)
 		b = append(b, '/')

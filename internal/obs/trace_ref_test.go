@@ -217,7 +217,7 @@ func refCellTraceEvents(c obs.Cell, nextPid *int) []refTraceEvent {
 		}
 		if ev.Detail != "" {
 			args["detail"] = ev.Detail
-		} else if ev.Kind == obs.KindBind && ev.Nodes != 0 {
+		} else if ev.Kind == obs.KindBind {
 			args["detail"] = fmt.Sprintf("%d/%d cores in flight", ev.Running, ev.Nodes)
 		}
 		out = append(out, refTraceEvent{
