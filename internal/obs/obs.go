@@ -109,15 +109,14 @@ func (k Kind) String() string {
 	return "kind(" + strconv.Itoa(int(k)) + ")"
 }
 
-// MarshalText encodes the kind by name, so an Event encodes to JSON with
-// "kind":"bind" as it did when Kind was a string.
+// MarshalText encodes the kind by its name, so an Event's JSON carries
+// "kind":"bind", not a number.
 func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // Event is one recorded observation. Only the fields a Kind documents
 // are meaningful; the rest stay zero. The flat shape lets consumers
-// filter without type switches. It is the decoded form: the recorder
-// stores each event as a compact record and builds an Event for its
-// hooks and for Events.
+// filter without type switches. The recorder stores each event as a
+// compact record and Events decodes it back.
 type Event struct {
 	// Seq is the recorder-assigned sequence number (dense from 0);
 	// events at equal virtual time stay in record order.
