@@ -21,12 +21,12 @@
 // enums; a unit's or Data-Unit's ID and name are stored once per
 // entity, pilot IDs and policy names once per recorder in an intern
 // table, and rare free text (failure causes, cache keys, Tracef lines)
-// in a side table. Recording therefore allocates only when a block
-// opens, and the garbage collector never scans the log. Strings are
-// built only at the edges: Events and Samples decode the log into one
-// exact-size slice each (a decoded view: its strings are the tables'
-// own), and the Chrome and JSONL exporters append their text straight
-// to a buffered writer, the bind detail included.
+// in a side table. Recording therefore allocates only when a block or
+// a new entity opens, and the garbage collector never scans the log.
+// Strings are built only at the edges: Events and Samples decode the
+// log into one exact-size slice each (a decoded view: its strings are
+// the tables' own), and the Chrome and JSONL exporters append their
+// text straight to a buffered writer, the bind detail included.
 //
 // Recording is strictly opt-in: without a Recorder attached to the
 // session (pilot.WithRecorder), the instrumented code paths pay a nil
@@ -186,9 +186,7 @@ type Recorder struct {
 	eng     *sim.Engine
 	events  blockLog[eventRecord]
 	ents    []entity         // unit and Data-Unit IDs with names; ents[0] is none
-	entIdx  map[string]int32 // unnumbered ID → its latest entity
-	unitIDs []int32          // unit ID number → entity (see Recorder.entity)
-	dataIDs []int32          // Data-Unit ID number → entity
+	entIdx  map[string]int32 // ID → its first entity
 	strs    []string         // interned strings; strs[0] is ""
 	strIdx  map[string]int32 // string → index in strs
 	small   []string         // states and ops; small[0] is ""

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"time"
 )
 
@@ -51,9 +50,9 @@ func (r *Recorder) encode(ev *Event) eventRecord {
 	ok := (ev.Unit == "" || ev.Data == "") && ev.Delta == 0 && ev.Applied == 0
 	if ev.Data != "" {
 		rec.flags |= flagData
-		rec.ent = r.entity(&r.dataIDs, ev.Data, ev.Name)
+		rec.ent = r.entity(ev.Data, ev.Name)
 	} else {
-		rec.ent = r.entity(&r.unitIDs, ev.Unit, ev.Name)
+		rec.ent = r.entity(ev.Unit, ev.Name)
 	}
 	rec.pilot = r.intern(ev.Pilot)
 	rec.policy = r.intern(ev.Policy)
@@ -111,59 +110,23 @@ func (r *Recorder) decode(rec *eventRecord, seq int, ev *Event) {
 }
 
 // entity returns the index of the (id, name) entity, adding it on first
-// use. The stack numbers unit and Data-Unit IDs densely ("unit.000042",
-// "du.000007"), so byNum maps an ID's number to its entity and the
-// common case is a string compare, not a hash lookup. An ID without a
-// trailing number, or one far beyond the numbers seen so far, is looked
-// up by hash instead. An event naming its entity differently (a graph
-// node's name, say) gets an entity of its own.
-func (r *Recorder) entity(byNum *[]int32, id, name string) int32 {
+// use. An event naming its entity differently (a graph node's name, say)
+// gets an entity of its own; the ID's first name keeps its place in
+// entIdx.
+func (r *Recorder) entity(id, name string) int32 {
 	if id == "" && name == "" {
 		return 0
 	}
-	n := idNumber(id)
-	if n < 0 || n > 2*len(*byNum)+1024 {
-		i, ok := r.entIdx[id]
-		if !ok || r.ents[i].name != name {
-			i = r.addEntity(id, name)
-			r.entIdx[id] = i
-		}
+	i, ok := r.entIdx[id]
+	if ok && r.ents[i].name == name {
 		return i
 	}
-	if n >= len(*byNum) {
-		*byNum = append(*byNum, make([]int32, n+1-len(*byNum))...)
-	} else if i := (*byNum)[n]; i != 0 && r.ents[i].id == id {
-		if r.ents[i].name == name {
-			return i
-		}
-		return r.addEntity(id, name) // the ID's usual name keeps its place
-	}
-	i := r.addEntity(id, name)
-	(*byNum)[n] = i
-	return i
-}
-
-// addEntity appends an entity and returns its index.
-func (r *Recorder) addEntity(id, name string) int32 {
 	r.ents = append(r.ents, entity{id, name})
-	return int32(len(r.ents) - 1)
-}
-
-// idNumber returns the decimal number after the last '.' of s, or -1
-// when s has none or it has more than nine digits.
-func idNumber(s string) int {
-	dot := strings.LastIndexByte(s, '.')
-	if dot < 0 || dot == len(s)-1 || len(s)-dot > 10 {
-		return -1
+	i = int32(len(r.ents) - 1)
+	if !ok {
+		r.entIdx[id] = i
 	}
-	n := 0
-	for _, c := range []byte(s[dot+1:]) {
-		if c < '0' || c > '9' {
-			return -1
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
+	return i
 }
 
 // intern returns s's index in the intern table, adding it on first
