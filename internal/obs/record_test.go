@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math"
 	"reflect"
@@ -39,8 +40,8 @@ func TestRecordLayout(t *testing.T) {
 	walk("eventRecord", reflect.TypeOf(eventRecord{}))
 }
 
-// roundTripEvents covers every shape a record stores: numbered and
-// unnumbered IDs, a number two IDs share, names that differ per event,
+// roundTripEvents covers every shape a record stores: IDs that share a
+// trailing number, an ID without one, names that differ per event,
 // every int field, bytes, a critical-path length and free text — and
 // the shapes kept whole in the side table.
 func roundTripEvents() []Event {
@@ -101,6 +102,49 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if len(r.raws) != 4 {
 		t.Errorf("%d events kept whole, want 4", len(r.raws))
+	}
+}
+
+// TestSeriesRoundTripAndJSONL: Samples gives back every added sample
+// exactly, the compact ones and those kept whole alike, and WriteJSONL
+// writes the bytes encoding/json writes for each sample with its cell
+// and time set.
+func TestSeriesRoundTripAndJSONL(t *testing.T) {
+	in := []GaugeSample{
+		{At: 1500 * time.Millisecond, QueueDepth: 4, WaitingCores: 8, HeldUnits: 1, HeldCores: 2,
+			RunningUnits: 3, RunningCores: 6, TotalCores: 16, Utilization: 0.375},
+		{At: 2 * time.Second, TotalCores: 16, CacheEntries: 2, CacheBytes: 1 << 40},
+		{At: 3 * time.Second, StoreFree: map[string]int64{"mem-b": 7, "mem-a": -1}},
+		{At: 4 * time.Second, QueueDepth: math.MaxInt32 + 1, Utilization: 1e-7},
+		{At: 5 * time.Second, Cell: "set by the caller", T: 9},
+		{At: 6*time.Second + 1, Utilization: 1},
+	}
+	var s Series
+	for _, g := range in {
+		s.Add(g)
+	}
+	if got := s.Samples(); !reflect.DeepEqual(got, in) {
+		t.Fatalf("Samples() = %+v, want %+v", got, in)
+	}
+	if got := s.Last(); !reflect.DeepEqual(got, in[len(in)-1]) {
+		t.Fatalf("Last() = %+v", got)
+	}
+	for _, cell := range []string{"", "cell \"a\""} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		for _, g := range in {
+			g.Cell, g.T = cell, g.At.Seconds()
+			if err := enc.Encode(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got bytes.Buffer
+		if err := s.WriteJSONL(&got, cell); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("cell %q: WriteJSONL wrote\n%s\nencoding/json writes\n%s", cell, got.String(), want.String())
+		}
 	}
 }
 
@@ -234,16 +278,4 @@ func benchStream(n int) []Event {
 func seqName(prefix string, n int) string {
 	s := strconv.Itoa(n)
 	return prefix + string(bytes.Repeat([]byte{'0'}, max(6-len(s), 0))) + s
-}
-
-// TestIDNumber: the number an ID ends in, or -1.
-func TestIDNumber(t *testing.T) {
-	for s, want := range map[string]int{
-		"unit.000042": 42, "du.7": 7, "a.b.12": 12, "x.123456789": 123456789,
-		"x.1234567890": -1, "unit.": -1, "unit": -1, "": -1, "u.4a": -1, ".5": 5, "pilot.0000": 0,
-	} {
-		if got := idNumber(s); got != want {
-			t.Errorf("idNumber(%q) = %d, want %d", s, got, want)
-		}
-	}
 }

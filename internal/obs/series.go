@@ -15,10 +15,12 @@ import (
 // attached data pilot's label to its store's remaining capacity (-1
 // for an unbounded store).
 type GaugeSample struct {
-	// At is the virtual time of the sample. A WriteJSONL line starts
-	// with the cell label ("cell", omitted when empty) and At in
-	// seconds ("t"), then carries the fields below under their keys.
-	At time.Duration `json:"-"`
+	// At is the virtual time of the sample; Cell labels the
+	// experiment cell when written through WriteJSONL.
+	At   time.Duration `json:"-"`
+	Cell string        `json:"cell,omitempty"`
+	// T is At in seconds, the JSONL representation.
+	T float64 `json:"t"`
 
 	// QueueDepth is the waiting (bindable, not yet executing) unit
 	// count; WaitingCores their summed demand.
@@ -44,9 +46,11 @@ type GaugeSample struct {
 
 // Series is an append-only sequence of gauge samples in time order,
 // kept in a block log like the recorder's events and, like them, in a
-// compact form: a 48-byte sampleRecord with no pointers. A sample that
-// carries result-cache or store gauges (or a count beyond 32 bits) is
-// kept whole in a side table instead.
+// compact form: a 48-byte sampleRecord with no pointers, not the
+// 120-byte GaugeSample, which keeps a recorded session's live heap
+// within TestSoakRecordedSessionGrowthPerUnit's per-unit bound. A
+// sample that carries result-cache or store gauges, a Cell or T of its
+// own, or a count beyond 32 bits is kept whole in a side table instead.
 type Series struct {
 	samples blockLog[sampleRecord]
 	whole   []GaugeSample
@@ -65,7 +69,7 @@ type sampleRecord struct {
 // Add appends a sample.
 func (s *Series) Add(g GaugeSample) {
 	rec := sampleRecord{at: g.At, util: g.Utilization}
-	ok := g.CacheEntries == 0 && g.CacheBytes == 0 && g.StoreFree == nil
+	ok := g.Cell == "" && g.T == 0 && g.CacheEntries == 0 && g.CacheBytes == 0 && g.StoreFree == nil
 	for i, v := range [7]int{g.QueueDepth, g.WaitingCores, g.HeldUnits, g.HeldCores,
 		g.RunningUnits, g.RunningCores, g.TotalCores} {
 		rec.ints[i] = int32(v)
