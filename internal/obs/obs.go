@@ -21,8 +21,8 @@
 // enums; a unit's or Data-Unit's ID and name are stored once per
 // entity, pilot IDs and policy names once per recorder in an intern
 // table, and rare free text (failure causes, cache keys, Tracef lines)
-// in a side table. Recording therefore allocates only when a block or
-// a new entity opens, and the garbage collector never scans the log.
+// in a side table. Recording therefore allocates only when a block
+// opens or a table grows, and the garbage collector never scans the log.
 // Strings are built only at the edges: Events and Samples decode the
 // log into one exact-size slice each (a decoded view: its strings are
 // the tables' own), and the Chrome and JSONL exporters append their
