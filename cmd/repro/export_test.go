@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/pilot"
 )
 
 // exportDigests pins the bytes `repro -trace t.json -series s.jsonl`
@@ -28,19 +30,65 @@ var exportDigests = map[string][2]string{
 	},
 }
 
+// registryDigests pins the metrics registry `repro -metrics addr`
+// fills for each experiment at seed 42: the sha256 of its Prometheus
+// text (/metrics) and of its JSON snapshot (/debug/pilot), read after
+// the run. Together these runs reach the bridge's cache, replica and
+// autoscale instruments as well as the per-unit set.
+var registryDigests = map[string][2]string{
+	"dag": {
+		"61539dd053010de6139c1d9681e144b330a62d7d07a7a787616dbde4949f2aad",
+		"f9d60bff0857ba85289b55595c9484a374c847fd3d5f4f696fde7a136029788b",
+	},
+	"cache": {
+		"6e76e630247a51839f197d61ced682ec45997dccf24c6943ee2287d532cb23ec",
+		"cd027694f7bb7dd8c2dbf377716a472abb4470b9bf2eda426a8b2b562a687217",
+	},
+	"elastic": {
+		"938ec99d89119b6adebeb17fae1ce10cca0f622ab2dcb5489eedfac6202662a8",
+		"7a0ee63dd325b96e86729851cf85c0dfb6eac3e1beb731d738e8c553da954395",
+	},
+	"dataelastic": {
+		"dd0be2271301fd7a5c328c5169e1ce2b07e51fc204de0ac753a263217b01d46a",
+		"cecdc49bfdbeafbf1a52937d9d3b365c3614a6ed5fbf9f80e6ae2bbcd62e1a18",
+	},
+}
+
 // TestExportDigestsSeed42 writes each experiment's exports through the
-// same tap and writer main uses for -trace and -series, and compares
-// their digests.
+// same tap and writer main uses for -trace and -series, renders the
+// registry main installs for -metrics, and compares their digests.
 func TestExportDigestsSeed42(t *testing.T) {
-	for _, name := range []string{"dag", "cache"} {
+	for _, name := range []string{"dag", "cache", "elastic", "dataelastic"} {
 		dir := t.TempDir()
 		trace, series := filepath.Join(dir, "trace.json"), filepath.Join(dir, "series.jsonl")
 		tap := new(experiments.Tap)
 		experiments.SetTap(tap)
+		reg := pilot.NewMetricsRegistry()
+		experiments.SetMetricsRegistry(reg)
 		err := (&runner{w: new(discard), seed: 42, trials: 3}).run(name)
 		experiments.SetTap(nil)
+		experiments.SetMetricsRegistry(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		var prom, snap bytes.Buffer
+		if err := reg.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.WriteJSON(&snap); err != nil {
+			t.Fatal(err)
+		}
+		for i, out := range []struct {
+			name string
+			data []byte
+		}{{"/metrics", prom.Bytes()}, {"/debug/pilot", snap.Bytes()}} {
+			sum := sha256.Sum256(out.data)
+			if got, want := hex.EncodeToString(sum[:]), registryDigests[name][i]; got != want {
+				t.Errorf("%s %s: sha256 %s, want %s", name, out.name, got, want)
+			}
+		}
+		if _, ok := exportDigests[name]; !ok {
+			continue
 		}
 		if err := writeTapOutputs(tap, trace, series); err != nil {
 			t.Fatalf("%s: %v", name, err)
