@@ -13,9 +13,10 @@ import (
 
 // Registry is a labeled-instrument metrics registry: the telemetry
 // plane's source of truth. Instruments — Counter, Gauge, Histogram —
-// are declared once with an ordered label-name set and then observed
-// with matching label values, producing one time series per distinct
-// value tuple (`units_done{pilot="p1",scheduler="backfill"}`). The
+// are declared once with an ordered label-name set; With resolves one
+// time series per distinct label-value tuple
+// (`units_done{pilot="p1",scheduler="backfill"}`), and the child it
+// returns is how a value is observed. The
 // registry renders as Prometheus text exposition (WritePrometheus, the
 // /metrics surface) and as a JSON snapshot (WriteJSON, the /debug/pilot
 // surface).
@@ -183,47 +184,12 @@ func (in *instrument) touch(values []string) *series {
 	return s
 }
 
-// Add increments the counter series for the label values by delta,
-// which must be non-negative (counters are monotonic).
-func (c *Counter) Add(delta float64, labelValues ...string) {
-	if delta < 0 {
-		panic(fmt.Sprintf("metrics: counter %s: negative delta %g", c.inst.name, delta))
-	}
-	c.reg.mu.Lock()
-	c.inst.touch(labelValues).value += delta
-	c.reg.mu.Unlock()
-}
-
-// Inc increments the counter series by one.
-func (c *Counter) Inc(labelValues ...string) { c.Add(1, labelValues...) }
-
-// Set sets the gauge series for the label values.
-func (g *Gauge) Set(v float64, labelValues ...string) {
-	g.reg.mu.Lock()
-	g.inst.touch(labelValues).value = v
-	g.reg.mu.Unlock()
-}
-
-// Add moves the gauge series by delta (negative deltas allowed).
-func (g *Gauge) Add(delta float64, labelValues ...string) {
-	g.reg.mu.Lock()
-	g.inst.touch(labelValues).value += delta
-	g.reg.mu.Unlock()
-}
-
-// Observe records one observation into the histogram series.
-func (h *Histogram) Observe(v float64, labelValues ...string) {
-	h.reg.mu.Lock()
-	h.inst.touch(labelValues).observe(v, h.inst.buckets)
-	h.reg.mu.Unlock()
-}
-
-// Bound label children. With resolves one series of an instrument for
-// fixed label values — creating it at zero, as a first observation
-// would — and returns a handle that observes it directly: no label
-// join, no lookup, only the registry lock that keeps scrapes safe. A
-// caller that observes the same series often resolves it once and
-// keeps the child.
+// Bound label children: the one way to observe. With resolves one
+// series of an instrument for fixed label values — creating it at
+// zero, so exposition shows it from then on — and returns a child that
+// observes it directly: no label join, no lookup, only the registry
+// lock that keeps scrapes safe. A caller that observes the same series
+// often resolves it once and keeps the child.
 
 // child is one resolved series and the registry whose lock guards it.
 type child struct {
@@ -266,7 +232,8 @@ func (h *Histogram) With(labelValues ...string) HistogramChild {
 	return HistogramChild{h.with(labelValues), h.inst.buckets}
 }
 
-// Add increments the series by delta, which must be non-negative.
+// Add increments the series by delta, which must be non-negative
+// (counters are monotonic).
 func (c CounterChild) Add(delta float64) {
 	if delta < 0 {
 		panic(fmt.Sprintf("metrics: counter series %s: negative delta %g", c.s.key, delta))
@@ -279,7 +246,14 @@ func (c CounterChild) Add(delta float64) {
 // Inc increments the series by one.
 func (c CounterChild) Inc() { c.Add(1) }
 
-// Add moves the series by delta.
+// Set sets the series to v.
+func (g GaugeChild) Set(v float64) {
+	g.reg.mu.Lock()
+	g.s.value = v
+	g.reg.mu.Unlock()
+}
+
+// Add moves the series by delta (negative deltas allowed).
 func (g GaugeChild) Add(delta float64) {
 	g.reg.mu.Lock()
 	g.s.value += delta

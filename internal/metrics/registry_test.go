@@ -11,9 +11,9 @@ import (
 func TestCounterLabels(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("units_done", "completed units", "pilot", "scheduler")
-	c.Inc("p1", "backfill")
-	c.Inc("p1", "backfill")
-	c.Add(3, "p2", "backfill")
+	c.With("p1", "backfill").Inc()
+	c.With("p1", "backfill").Inc()
+	c.With("p2", "backfill").Add(3)
 
 	if v, ok := reg.Value("units_done", "p1", "backfill"); !ok || v != 2 {
 		t.Fatalf("p1 = %v, %v; want 2, true", v, ok)
@@ -29,7 +29,7 @@ func TestCounterNegativePanics(t *testing.T) {
 			t.Fatal("negative counter delta did not panic")
 		}
 	}()
-	NewRegistry().Counter("c", "").Add(-1)
+	NewRegistry().Counter("c", "").With().Add(-1)
 }
 
 func TestDeclareIdempotentAndMismatch(t *testing.T) {
@@ -55,12 +55,12 @@ func TestLabelArityPanics(t *testing.T) {
 			t.Fatal("wrong label arity did not panic")
 		}
 	}()
-	c.Inc("only-one")
+	c.With("only-one")
 }
 
 func TestGauge(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.Gauge("held", "")
+	g := reg.Gauge("held", "").With()
 	g.Add(3)
 	g.Add(-1)
 	if v, _ := reg.Value("held"); v != 2 {
@@ -88,7 +88,7 @@ func TestHistogram(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat", "latency", []float64{1, 5, 10}, "pilot")
 	for _, v := range []float64{0.5, 2, 7, 100} {
-		h.Observe(v, "p1")
+		h.With("p1").Observe(v)
 	}
 	count, sum := reg.HistogramStats("lat")
 	if count != 4 || sum != 109.5 {
@@ -127,9 +127,9 @@ func TestHistogramBadBucketsPanic(t *testing.T) {
 func TestPrometheusExpositionShape(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("pilot_units_done", "units finished", "pilot", "scheduler")
-	c.Add(7, "pilot.0001", "backfill")
-	c.Add(2, `we"ird\pi
-lot`, "rr")
+	c.With("pilot.0001", "backfill").Add(7)
+	c.With(`we"ird\pi
+lot`, "rr").Add(2)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -153,7 +153,7 @@ func TestExpositionDeterministic(t *testing.T) {
 		reg := NewRegistry()
 		c := reg.Counter("c", "", "pilot")
 		for _, p := range order {
-			c.Inc(p)
+			c.With(p).Inc()
 		}
 		var b strings.Builder
 		reg.WritePrometheus(&b)
@@ -166,8 +166,8 @@ func TestExpositionDeterministic(t *testing.T) {
 
 func TestSnapshotJSON(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("done", "d", "pilot").Add(4, "p1")
-	reg.Histogram("lat", "", []float64{1}).Observe(0.5)
+	reg.Counter("done", "d", "pilot").With("p1").Add(4)
+	reg.Histogram("lat", "", []float64{1}).With().Observe(0.5)
 
 	var b strings.Builder
 	if err := reg.WriteJSON(&b); err != nil {
@@ -201,12 +201,12 @@ func TestSnapshotJSON(t *testing.T) {
 
 func TestConcurrentObservation(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("ops", "", "worker")
+	c := reg.Counter("ops", "", "worker").With("w1")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			c.Inc("w1")
+			c.Inc()
 		}
 	}()
 	for i := 0; i < 50; i++ {
@@ -231,48 +231,62 @@ func TestFormatBound(t *testing.T) {
 	}
 }
 
-// TestBoundChildrenObserveTheirSeries: a child resolved with With
-// observes the same series as the labeled calls, and exposition is
-// byte for byte what the labeled calls alone produce.
+// TestBoundChildrenObserveTheirSeries: two With calls with the same
+// labels reach one series, a child resolved but never observed renders
+// at zero, a counter child refuses a negative delta, and a gauge child's
+// Set renders in both expositions.
 func TestBoundChildrenObserveTheirSeries(t *testing.T) {
-	build := func(bound bool) *Registry {
-		r := NewRegistry()
-		c := r.Counter("c_total", "c", "pilot", "scheduler")
-		g := r.Gauge("g", "g", "pilot")
-		h := r.Histogram("h_seconds", "h", []float64{1, 10}, "pilot")
-		if bound {
-			cc, gc, hc := c.With("p1", "backfill"), g.With("p1"), h.With("p1")
-			cc.Inc()
-			cc.Add(2)
-			gc.Add(5)
-			gc.Add(-2)
-			hc.Observe(0.5)
-			hc.Observe(20)
-			g.With("p2").Add(7)
-		} else {
-			c.Inc("p1", "backfill")
-			c.Add(2, "p1", "backfill")
-			g.Add(5, "p1")
-			g.Add(-2, "p1")
-			h.Observe(0.5, "p1")
-			h.Observe(20, "p1")
-			g.Add(7, "p2")
-		}
-		return r
-	}
-	var bound, labeled bytes.Buffer
-	if err := build(true).WritePrometheus(&bound); err != nil {
-		t.Fatal(err)
-	}
-	if err := build(false).WritePrometheus(&labeled); err != nil {
-		t.Fatal(err)
-	}
-	if bound.String() != labeled.String() {
-		t.Fatalf("bound children expose\n%s\nlabeled calls expose\n%s", bound.String(), labeled.String())
-	}
 	r := NewRegistry()
+	c := r.Counter("c_total", "c", "pilot", "scheduler")
+	c.With("p1", "backfill").Inc()
+	c.With("p1", "backfill").Add(2)
+	if v, ok := r.Value("c_total", "p1", "backfill"); !ok || v != 3 {
+		t.Fatalf("c_total{p1,backfill} = %v, %v; want 3, true", v, ok)
+	}
 	r.Counter("resolved_total", "", "op").With("hit")
 	if v, ok := r.Value("resolved_total", "hit"); !ok || v != 0 {
 		t.Fatalf("a resolved child's series = %v, %v; want 0, true", v, ok)
 	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("negative counter child delta did not panic")
+			}
+		}()
+		c.With("p1", "backfill").Add(-1)
+	}()
+	if v, _ := r.Value("c_total", "p1", "backfill"); v != 3 {
+		t.Fatalf("c_total{p1,backfill} = %v after a refused delta; want 3", v)
+	}
+
+	g := r.Gauge("g", "g", "pilot").With("p1")
+	g.Add(5)
+	g.Set(1.5)
+	var text bytes.Buffer
+	if err := r.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), `g{pilot="p1"} 1.5`+"\n") {
+		t.Fatalf("Set gauge missing from Prometheus text:\n%s", text.String())
+	}
+	var doc struct {
+		Instruments []SnapshotInstrument `json:"instruments"`
+	}
+	var snap bytes.Buffer
+	if err := r.WriteJSON(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(snap.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range doc.Instruments {
+		if in.Name == "g" {
+			if len(in.Series) != 1 || *in.Series[0].Value != 1.5 || in.Series[0].Labels["pilot"] != "p1" {
+				t.Fatalf("Set gauge in JSON snapshot = %+v; want one p1 series at 1.5", in.Series)
+			}
+			return
+		}
+	}
+	t.Fatalf("gauge g missing from JSON snapshot:\n%s", snap.String())
 }

@@ -10,8 +10,8 @@ import (
 // recorder's Event stream, so the telemetry plane is single-sourced:
 // code paths record events once and both the trace exporters and the
 // /metrics exposition fall out of the same stream. Feed it live by
-// hooking Apply into Recorder.OnRecord, or after the fact with
-// MetricsFromEvents.
+// hooking Apply into Recorder.OnRecord; a finished recording is folded
+// by calling Apply on each of its Events in turn.
 //
 // The instrument set and its label conventions:
 //
@@ -54,7 +54,9 @@ type Bridge struct {
 	// Series the per-event path observes, each resolved on its first
 	// observation (so exposition shows exactly the series observed):
 	// pilot_events_total by kind, and the per-pilot set by pilot ID.
-	kinds      [numKinds]*metrics.CounterChild
+	// The rare kinds' instruments resolve their series where they
+	// observe.
+	kinds      [256]*metrics.CounterChild // by uint8(Kind), as Recorder.counts
 	pilots     []*pilotSeries
 	pilotIdx   map[string]int32 // pilot ID → index in pilots
 	schedulers []string         // scheduler names the tracks refer to
@@ -207,16 +209,12 @@ func (b *Bridge) onPilot(t *unitTrack) *pilotSeries {
 // Apply folds one event into the instrument set. Events must arrive in
 // record order (they do, from OnRecord or a replayed Events() slice).
 func (b *Bridge) Apply(ev Event) {
-	if ev.Kind >= 0 && int(ev.Kind) < len(b.kinds) {
-		c := b.kinds[ev.Kind]
-		if c == nil {
-			c = resolved(b.events.With(ev.Kind.String()))
-			b.kinds[ev.Kind] = c
-		}
-		c.Inc()
-	} else {
-		b.events.Inc(ev.Kind.String())
+	c := b.kinds[uint8(ev.Kind)]
+	if c == nil {
+		c = resolved(b.events.With(ev.Kind.String()))
+		b.kinds[uint8(ev.Kind)] = c
 	}
+	c.Inc()
 	switch ev.Kind {
 	case KindUnitState:
 		b.applyUnitState(&ev)
@@ -237,20 +235,20 @@ func (b *Bridge) Apply(ev Event) {
 		b.unitsHeld.Add(-1)
 	case KindAutoscale:
 		if ev.Applied != 0 {
-			b.autoscale.Inc(ev.Pilot, ev.Policy)
+			b.autoscale.With(ev.Pilot, ev.Policy).Inc()
 		}
 	case KindCache:
-		b.cacheOps.Inc(ev.Op)
+		b.cacheOps.With(ev.Op).Inc()
 		if ev.Op == "hit" || ev.Op == "coalesce" {
 			b.track(ev.Unit).cached = true
 		}
 	case KindReplica:
-		b.replicaOps.Inc(ev.Op, ev.Pilot)
+		b.replicaOps.With(ev.Op, ev.Pilot).Inc()
 		if ev.Bytes > 0 {
-			b.replicaBytes.Add(float64(ev.Bytes), ev.Op, ev.Pilot)
+			b.replicaBytes.With(ev.Op, ev.Pilot).Add(float64(ev.Bytes))
 		}
 	case KindStoreFail:
-		b.storeFails.Inc(ev.Pilot)
+		b.storeFails.With(ev.Pilot).Inc()
 	}
 }
 
@@ -313,15 +311,3 @@ func (b *Bridge) running(ps *pilotSeries) *metrics.GaugeChild {
 
 // resolved moves a resolved series child to the heap, once per series.
 func resolved[T any](c T) *T { return &c }
-
-// MetricsFromEvents replays a recorded event stream through a fresh
-// bridge and returns the populated registry — the after-the-fact path
-// for streams already captured by a Recorder.
-func MetricsFromEvents(events []Event) *metrics.Registry {
-	reg := metrics.NewRegistry()
-	b := NewBridge(reg)
-	for _, ev := range events {
-		b.Apply(ev)
-	}
-	return reg
-}

@@ -23,7 +23,10 @@ func unitLifecycle(u, p, sched string, t0 time.Duration) []Event {
 	}
 }
 
-func TestMetricsFromEvents(t *testing.T) {
+// TestBridgeApplyStream folds a mixed stream through a bridge: per-pilot
+// completions and failures, a cache-completed unit, the running gauge,
+// both latency histograms and the per-kind event counter.
+func TestBridgeApplyStream(t *testing.T) {
 	var events []Event
 	events = append(events, unitLifecycle("u1", "pilot.0000", "backfill", 0)...)
 	events = append(events, unitLifecycle("u2", "pilot.0000", "backfill", time.Second)...)
@@ -37,7 +40,11 @@ func TestMetricsFromEvents(t *testing.T) {
 		Event{Kind: KindCache, Unit: "u5", Op: "hit", At: 7 * time.Second},
 		Event{Kind: KindUnitState, Unit: "u5", State: "DONE", At: 7 * time.Second},
 	)
-	reg := MetricsFromEvents(events)
+	reg := metrics.NewRegistry()
+	b := NewBridge(reg)
+	for _, ev := range events {
+		b.Apply(ev)
+	}
 
 	if v, ok := reg.Value("pilot_units_done", "pilot.0000", "backfill"); !ok || v != 2 {
 		t.Errorf("units_done{pilot.0000,backfill} = %v, %v; want 2", v, ok)
@@ -65,6 +72,12 @@ func TestMetricsFromEvents(t *testing.T) {
 	}
 	if v, _ := reg.Value("pilot_events_total", KindUnitState.String()); v == 0 {
 		t.Error("pilot_events_total{unit-state} never counted")
+	}
+	// A kind outside the enum is counted under its numeric name.
+	b.Apply(Event{Kind: -1})
+	b.Apply(Event{Kind: -1})
+	if v, _ := reg.Value("pilot_events_total", "kind(-1)"); v != 2 {
+		t.Errorf("pilot_events_total{kind(-1)} = %v; want 2", v)
 	}
 }
 
@@ -128,15 +141,14 @@ func TestRecorderOnRecordFeedsBridgeLive(t *testing.T) {
 	if v, _ := reg.Value("pilot_units_done", "pilot.0000", "backfill"); v != 1 {
 		t.Fatalf("live bridge units_done = %v; want 1", v)
 	}
-	// The replay path over the same stream must agree with the live one.
-	replay := MetricsFromEvents(rec.Events())
-	if v, _ := replay.Value("pilot_units_done", "pilot.0000", "backfill"); v != 1 {
-		t.Fatalf("replayed units_done = %v; want 1", v)
-	}
 }
 
 func TestServeMetricsEndpoints(t *testing.T) {
-	reg := MetricsFromEvents(unitLifecycle("u1", "pilot.0000", "backfill", 0))
+	reg := metrics.NewRegistry()
+	b := NewBridge(reg)
+	for _, ev := range unitLifecycle("u1", "pilot.0000", "backfill", 0) {
+		b.Apply(ev)
+	}
 	srv, err := ServeMetrics("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)

@@ -206,11 +206,12 @@
 //
 // MetricsRegistry is a labeled-instrument registry — counters, gauges
 // and histograms with ordered label sets — safe for concurrent
-// observation and scraping. Two paths fill it from the event stream:
-// MetricsFromEvents(rec.Events()) replays a finished recording, and
-// NewMetricsBridge(reg) with rec.OnRecord(bridge.Apply) folds events
-// in live as they are recorded. Instrument names follow Prometheus
-// conventions (snake_case, unit suffixes, _total on counters); labels
+// observation and scraping; a series is observed through the child
+// its instrument's With resolves. One path fills it from the event
+// stream: NewMetricsBridge(reg) with rec.OnRecord(bridge.Apply) folds
+// events in live as they are recorded. Instrument names follow
+// Prometheus conventions (snake_case, unit suffixes, _total on
+// counters); labels
 // stay low-cardinality — pilot ("pilot.0001"), scheduler (the binding
 // policy, or "cache" for units completed from the result cache),
 // policy, op, store, kind. The derived set covers completions and

@@ -26,16 +26,9 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // NewMetricsBridge declares the standard instrument set on reg and
 // returns the bridge feeding it. Hook it into a recorder with
-// Recorder.OnRecord(bridge.Apply) to populate the registry live, or
-// replay a finished stream with MetricsFromEvents.
+// Recorder.OnRecord(bridge.Apply) to populate the registry live; to
+// fold a finished recording, call bridge.Apply on each of its Events.
 func NewMetricsBridge(reg *MetricsRegistry) *MetricsBridge { return obs.NewBridge(reg) }
-
-// MetricsFromEvents replays a recorded event stream into a fresh
-// registry — the after-the-fact way to get per-pilot accounting out of
-// a finished run.
-func MetricsFromEvents(events []TraceEvent) *MetricsRegistry {
-	return obs.MetricsFromEvents(events)
-}
 
 // ServeMetrics starts a live exposition endpoint for reg on addr
 // (":9090", "127.0.0.1:0", ...): Prometheus text at /metrics, the JSON
