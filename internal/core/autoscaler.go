@@ -284,13 +284,10 @@ type Autoscaler struct {
 	policy AutoscalePolicy
 
 	min, max int
-	cooldown sim.Duration
 
-	wake     *sim.Queue[struct{}]
-	stopped  bool
-	lastDone sim.Duration
-	resized  bool
-	history  []ResizeRecord
+	wake    *sim.Queue[struct{}]
+	stopped bool
+	history []ResizeRecord
 }
 
 // AutoscalerOption configures an Autoscaler built by NewAutoscaler.
@@ -300,7 +297,6 @@ type autoscalerConfig struct {
 	policyName string
 	policy     AutoscalePolicy
 	min, max   int
-	cooldown   sim.Duration
 	interval   sim.Duration
 }
 
@@ -321,13 +317,6 @@ func WithAutoscalePolicyInstance(p AutoscalePolicy) AutoscalerOption {
 // (defaults: the pilot's base allocation and the machine size).
 func WithAutoscaleBounds(min, max int) AutoscalerOption {
 	return func(c *autoscalerConfig) { c.min, c.max = min, max }
-}
-
-// WithAutoscaleCooldown enforces a minimum virtual time between two
-// applied resizes, on top of whatever pacing the policy itself does
-// (default: none).
-func WithAutoscaleCooldown(d sim.Duration) AutoscalerOption {
-	return func(c *autoscalerConfig) { c.cooldown = d }
 }
 
 // WithAutoscaleInterval adds a periodic re-evaluation every d of virtual
@@ -370,13 +359,12 @@ func NewAutoscaler(um *UnitManager, pl *Pilot, opts ...AutoscalerOption) (*Autos
 		return nil, fmt.Errorf("core: autoscaler bounds [%d, %d] are inverted", min, max)
 	}
 	as := &Autoscaler{
-		um:       um,
-		pilot:    pl,
-		policy:   policy,
-		min:      min,
-		max:      max,
-		cooldown: cfg.cooldown,
-		wake:     sim.NewQueue[struct{}](pl.session.eng),
+		um:     um,
+		pilot:  pl,
+		policy: policy,
+		min:    min,
+		max:    max,
+		wake:   sim.NewQueue[struct{}](pl.session.eng),
 	}
 	um.observe(as.kick)
 	pl.OnStateChange(func(*Pilot, PilotState) { as.kick() })
@@ -433,15 +421,6 @@ func (as *Autoscaler) loop(p *sim.Proc) {
 // evaluate runs one decision cycle; it reports whether the loop should
 // keep running.
 func (as *Autoscaler) evaluate(p *sim.Proc) bool {
-	eng := as.pilot.session.eng
-	if as.cooldown > 0 && as.resized {
-		if wait := as.lastDone + as.cooldown - eng.Now(); wait > 0 {
-			// Re-check when the cooldown expires rather than dropping
-			// the signal.
-			eng.AtDaemon(wait, as.kick)
-			return true
-		}
-	}
 	snap := as.snapshot()
 	raw := as.policy.Decide(snap)
 	target := snap.Nodes + raw
@@ -467,11 +446,9 @@ func (as *Autoscaler) evaluate(p *sim.Proc) bool {
 	if err != nil {
 		as.recordVerdict(snap, raw, delta, err)
 	}
-	as.lastDone = eng.Now()
-	as.resized = true
 	switch {
 	case err == nil:
-		as.history = append(as.history, ResizeRecord{At: eng.Now(), From: from, To: as.pilot.Capacity()})
+		as.history = append(as.history, ResizeRecord{At: as.pilot.session.eng.Now(), From: from, To: as.pilot.Capacity()})
 	case errors.Is(err, ErrNotElastic), errors.Is(err, ErrPilotFinal):
 		return false // permanently pointless: retire the loop
 	}

@@ -68,10 +68,6 @@ func WithAutoscalePolicyInstance(p AutoscalePolicy) AutoscalerOption {
 // WithAutoscaleBounds clamps the pilot size to [min, max] nodes.
 func WithAutoscaleBounds(min, max int) AutoscalerOption { return core.WithAutoscaleBounds(min, max) }
 
-// WithAutoscaleCooldown enforces a minimum virtual time between applied
-// resizes.
-func WithAutoscaleCooldown(d sim.Duration) AutoscalerOption { return core.WithAutoscaleCooldown(d) }
-
 // WithAutoscaleInterval adds a periodic re-evaluation every d of
 // virtual time on top of the kick-driven wakeups.
 func WithAutoscaleInterval(d sim.Duration) AutoscalerOption { return core.WithAutoscaleInterval(d) }
