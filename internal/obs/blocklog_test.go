@@ -112,8 +112,13 @@ func TestSeriesAcrossBlocks(t *testing.T) {
 }
 
 // TestRecordAllocatesOnlyForNewBlocks: with no hooks, Record allocates
-// nothing while the current block has room, and a record that opens a
-// block allocates only for it.
+// nothing while the current block has room, and once blocks have
+// reached maxBlock, recording one full block allocates the block and
+// nothing else. Each measurement averages over many records, so a
+// stray allocation elsewhere in the process cannot tip it, while a
+// Record that allocated inside a block would add maxBlock allocations
+// per run, and a block opening that allocated twice would double the
+// count.
 func TestRecordAllocatesOnlyForNewBlocks(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r := NewRecorder(sim.NewEngine())
@@ -125,16 +130,23 @@ func TestRecordAllocatesOnlyForNewBlocks(t *testing.T) {
 	if r.Len() != firstBlock {
 		t.Fatalf("Len = %d, want a full first block of %d", r.Len(), firstBlock)
 	}
-	var ms runtime.MemStats
-	for i := 0; i < fullBlocks3; i++ {
-		blocks := len(r.events.blocks)
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
+	fillToBlock(r, ev)
+	for i := 1; i < maxBlock; i++ {
 		r.Record(ev)
-		runtime.ReadMemStats(&ms)
-		opened := len(r.events.blocks) > blocks
-		if n := ms.Mallocs - before; (n > 0) != opened || n > 2 {
-			t.Fatalf("record %d: %d allocs, opened a block: %v", r.Len(), n, opened)
+	}
+	// Every run starts on a full maxBlock block, so its first Record
+	// opens the next one; the blocks slice grows on only a few of them.
+	const runs = 16
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < maxBlock; i++ {
+			r.Record(ev)
 		}
+	})
+	if allocs != 1 {
+		t.Fatalf("recording one full block: %v allocs per run, want 1", allocs)
+	}
+	if k := len(r.events.blocks); cap(r.events.blocks[k-1]) != maxBlock || len(r.events.blocks[k-1]) != maxBlock {
+		t.Fatalf("last block len %d cap %d, want a full block of %d",
+			len(r.events.blocks[k-1]), cap(r.events.blocks[k-1]), maxBlock)
 	}
 }
