@@ -211,16 +211,15 @@
 // stream: NewMetricsBridge(reg) with rec.OnRecord(bridge.Apply) folds
 // events in live as they are recorded. Instrument names follow
 // Prometheus conventions (snake_case, unit suffixes, _total on
-// counters); labels
-// stay low-cardinality — pilot ("pilot.0001"), scheduler (the binding
-// policy, or "cache" for units completed from the result cache),
-// policy, op, store, kind. The derived set covers completions and
-// failures per pilot (pilot_units_done, pilot_units_failed), live
-// execution and hold gauges (pilot_units_running, pilot_units_held),
-// submit-to-bind latency and execution time histograms
-// (bind_latency_seconds, unit_duration_seconds), autoscale
-// applications, cache ops, and replica traffic in operations and
-// bytes.
+// counters); labels stay low-cardinality — pilot ("pilot.0001"),
+// scheduler (the binding policy, or "cache" for units completed from
+// the result cache), policy, op, store, kind. The derived set covers
+// completions and failures per pilot (pilot_units_done,
+// pilot_units_failed), live execution and hold gauges
+// (pilot_units_running, pilot_units_held), submit-to-bind latency and
+// execution time histograms (bind_latency_seconds,
+// unit_duration_seconds), autoscale applications, cache ops, and
+// replica traffic in operations and bytes.
 //
 // WithMetricsAddr("127.0.0.1:9090") makes a session serve its
 // registry over HTTP for the lifetime of the process: GET /metrics
