@@ -29,10 +29,10 @@ func NewStore(e *sim.Engine, rtt sim.Duration) *Store {
 	}
 }
 
-// Update publishes doc under (collection, id), overwriting any prior
-// value. No simulated client reads documents back, so only the round
-// trip is modelled.
-func (s *Store) Update(p *sim.Proc, collection, id string, doc any) {
+// Update models a document update, such as the agent's heartbeat. No
+// simulated client reads documents back, so only the round trip is
+// modelled.
+func (s *Store) Update(p *sim.Proc) {
 	p.Sleep(s.rtt)
 }
 

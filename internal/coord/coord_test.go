@@ -12,7 +12,7 @@ func TestOperationsPayRoundTrip(t *testing.T) {
 	s := NewStore(e, 25*time.Millisecond)
 	var elapsed time.Duration
 	e.Spawn("client", func(p *sim.Proc) {
-		s.Update(p, "c", "id", 1)
+		s.Update(p)
 		s.Push(p, "q", 1)
 		elapsed = p.Now()
 	})

@@ -7,12 +7,16 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/hpc"
+	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// accountingEnv builds the one-pilot harness the accounting tests
-// share; runtime bounds the pilot's walltime.
-func accountingRun(t *testing.T, runtime, body time.Duration, n int) (pv *PilotView, passes, offered int64) {
+// accountingRun runs n units of the given body on the one-pilot harness
+// the accounting tests share, runtime bounding the pilot's walltime. It
+// returns the pilot's view row, the registry the metrics bridge filled
+// from the session's recorder, and the bind loop's pass/offer work.
+func accountingRun(t *testing.T, runtime, body time.Duration, n int) (pv *PilotView, reg *metrics.Registry, passes, offered int64) {
 	t.Helper()
 	eng := sim.NewEngine()
 	m := cluster.New(eng, testSpec(2))
@@ -24,6 +28,10 @@ func accountingRun(t *testing.T, runtime, body time.Duration, n int) (pv *PilotV
 		Seed:            3,
 	})
 	s := NewSession(eng, fastProfile(), 42)
+	rec := obs.NewRecorder(eng)
+	reg = metrics.NewRegistry()
+	rec.OnRecord(obs.NewBridge(reg).Apply)
+	s.AttachRecorder(rec)
 	r := &Resource{Name: "tm", URL: "slurm://tm", Machine: m, Batch: batch}
 	if err := s.AddResource(r); err != nil {
 		t.Fatal(err)
@@ -70,19 +78,20 @@ func accountingRun(t *testing.T, runtime, body time.Duration, n int) (pv *PilotV
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	return pv, passes, offered
+	return pv, reg, passes, offered
 }
 
-// TestPilotCompletionCounters pins the always-on per-pilot accounting:
-// lifetime done totals surface in PilotView and the bind loop reports
-// its pass/offer work.
+// TestPilotCompletionCounters pins the per-pilot completion accounting:
+// the bridge credits every unit done on the pilot to its
+// pilot_units_done series, and the bind loop reports its pass/offer
+// work.
 func TestPilotCompletionCounters(t *testing.T) {
-	pv, passes, offered := accountingRun(t, time.Hour, time.Second, 8)
-	if pv.DoneUnits != 8 {
-		t.Fatalf("DoneUnits = %d; want 8", pv.DoneUnits)
+	pv, reg, passes, offered := accountingRun(t, time.Hour, time.Second, 8)
+	if done, _ := reg.Value("pilot_units_done", pv.Pilot.ID, SchedulerRoundRobin); done != 8 {
+		t.Fatalf("pilot_units_done = %v; want 8", done)
 	}
-	if pv.FailedUnits != 0 {
-		t.Fatalf("FailedUnits = %d; want 0", pv.FailedUnits)
+	if failed, _ := reg.Value("pilot_units_failed", pv.Pilot.ID); failed != 0 {
+		t.Fatalf("pilot_units_failed = %v; want 0", failed)
 	}
 	if passes < 1 {
 		t.Fatalf("passes = %d; want >= 1", passes)
@@ -96,15 +105,16 @@ func TestPilotCompletionCounters(t *testing.T) {
 }
 
 // TestPilotFailureCounters: units interrupted by the pilot's walltime
-// expiry were bound to it, so its FailedUnits ledger must record them.
+// expiry were bound to it, so its pilot_units_failed series must count
+// them.
 func TestPilotFailureCounters(t *testing.T) {
 	// Units sleep far past the pilot's runtime: whatever is executing at
 	// expiry fails while still bound to the pilot.
-	pv, _, _ := accountingRun(t, 10*time.Minute, 2*time.Hour, 4)
-	if pv.DoneUnits != 0 {
-		t.Fatalf("DoneUnits = %d; want 0", pv.DoneUnits)
+	pv, reg, _, _ := accountingRun(t, 10*time.Minute, 2*time.Hour, 4)
+	if done := reg.Total("pilot_units_done"); done != 0 {
+		t.Fatalf("pilot_units_done = %v; want 0", done)
 	}
-	if pv.FailedUnits < 1 {
-		t.Fatalf("FailedUnits = %d; want >= 1", pv.FailedUnits)
+	if failed, _ := reg.Value("pilot_units_failed", pv.Pilot.ID); failed < 1 {
+		t.Fatalf("pilot_units_failed = %v; want >= 1", failed)
 	}
 }

@@ -89,7 +89,7 @@ func (a *agent) startComponents(p *sim.Proc) {
 	pl := a.pilot
 	a.session.eng.SpawnDaemon("agent:hb:"+pl.ID, func(hp *sim.Proc) {
 		for !a.draining && !pl.State().Final() {
-			store.Update(hp, "pilots", pl.ID, pl.State().String())
+			store.Update(hp)
 			hp.Sleep(10e9) // 10s heartbeat
 		}
 	})

@@ -5,17 +5,16 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/yarn"
 )
 
-// The built-in autoscale policies. Any name registered through
-// RegisterAutoscalePolicy is equally valid for WithAutoscalePolicy.
+// The built-in autoscale policies' names: the Name() values that label
+// autoscale events and the pilot_autoscale_total{policy} series.
 const (
 	// AutoscaleQueueDepth grows when the Unit-Manager backlog per live
-	// core exceeds a threshold, and (by default) releases grown chunks
-	// again once nothing waits.
+	// core exceeds a threshold, and releases grown chunks again once
+	// nothing waits.
 	AutoscaleQueueDepth = "queue-depth"
 	// AutoscaleUtilization follows the YARN cluster's utilization (RM
 	// ClusterMetrics): grow above the high watermark while requests
@@ -62,64 +61,25 @@ type AutoscaleSnapshot struct {
 // AutoscalePolicy decides how an elastic pilot should resize. Decide
 // returns the node delta to apply now: positive grows, negative shrinks,
 // zero holds. The Autoscaler clamps the result to its node bounds and
-// applies it through Pilot.Resize. One policy instance is created per
-// Autoscaler, so implementations may keep state (cooldown clocks, load
-// histories) in their receiver.
+// applies it through Pilot.Resize. Implementations may keep state
+// (cooldown clocks, load histories) in their receiver, so each
+// Autoscaler needs its own policy instance.
 type AutoscalePolicy interface {
-	// Name is the registry key the policy was registered under.
+	// Name labels the policy's autoscale events and metrics.
 	Name() string
 	Decide(s *AutoscaleSnapshot) int
 }
 
-// autoscalePolicies is the registry: policy name to per-autoscaler
-// factory, an instance of the one generic registry behind every
-// pluggable seam.
-var autoscalePolicies = registry.New[func() AutoscalePolicy]("core", "autoscale policy", ErrUnknownAutoscalePolicy)
-
-// RegisterAutoscalePolicy adds an autoscale-policy factory under name,
-// the key WithAutoscalePolicy selects it by — the elasticity analogue of
-// RegisterBackend and RegisterUnitScheduler. The factory runs once per
-// Autoscaler. Registration fails on nil factories, empty names, and
-// duplicates.
-func RegisterAutoscalePolicy(name string, factory func() AutoscalePolicy) error {
-	return autoscalePolicies.Register(name, factory)
-}
-
-// AutoscalePolicies lists the registered policy names, sorted.
-func AutoscalePolicies() []string { return autoscalePolicies.Names() }
-
-// newAutoscalePolicy instantiates the policy name selects; the empty
-// name selects queue-depth.
-func newAutoscalePolicy(name string) (AutoscalePolicy, error) {
-	if name == "" {
-		name = AutoscaleQueueDepth
-	}
-	factory, err := autoscalePolicies.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return factory(), nil
-}
-
-func init() {
-	autoscalePolicies.MustRegister(AutoscaleQueueDepth, func() AutoscalePolicy { return &QueueDepthPolicy{} })
-	autoscalePolicies.MustRegister(AutoscaleUtilization, func() AutoscalePolicy { return &UtilizationPolicy{} })
-	autoscalePolicies.MustRegister(AutoscaleDeadline, func() AutoscalePolicy { return &DeadlinePolicy{} })
-}
-
 // QueueDepthPolicy grows when the Unit-Manager backlog per live core
-// exceeds Threshold, and shrinks one node at a time once nothing waits
+// exceeds Threshold, and shrinks one step at a time once nothing waits
 // and the remaining capacity still covers the running work. The zero
-// value is the registry default.
+// value is the Autoscaler's default policy.
 type QueueDepthPolicy struct {
 	// Threshold is waiting units per live core above which the policy
 	// grows (default 1.0).
 	Threshold float64
 	// GrowStep is the number of nodes added per decision (default 1).
 	GrowStep int
-	// KeepIdle disables the shrink-when-idle behaviour, pinning grown
-	// capacity until the pilot ends.
-	KeepIdle bool
 }
 
 // Name implements AutoscalePolicy.
@@ -127,11 +87,17 @@ func (*QueueDepthPolicy) Name() string { return AutoscaleQueueDepth }
 
 // Decide implements AutoscalePolicy.
 func (p *QueueDepthPolicy) Decide(s *AutoscaleSnapshot) int {
-	threshold := p.Threshold
+	return backlogDelta(s, p.Threshold, p.GrowStep)
+}
+
+// backlogDelta is the backlog rule QueueDepthPolicy and DataAwarePolicy
+// share: grow by step while waiting units per live core exceed
+// threshold, shrink by step once nothing waits, hold otherwise. A
+// non-positive threshold means 1.0 and a non-positive step means 1.
+func backlogDelta(s *AutoscaleSnapshot, threshold float64, step int) int {
 	if threshold <= 0 {
 		threshold = 1.0
 	}
-	step := p.GrowStep
 	if step <= 0 {
 		step = 1
 	}
@@ -141,7 +107,7 @@ func (p *QueueDepthPolicy) Decide(s *AutoscaleSnapshot) int {
 	// Shrink in the same step the policy grew in (the autoscaler snaps
 	// to chunk boundaries anyway), as long as the remaining capacity
 	// still covers the running work.
-	if !p.KeepIdle && s.WaitingUnits == 0 && s.Nodes-step >= s.MinNodes &&
+	if s.WaitingUnits == 0 && s.Nodes-step >= s.MinNodes &&
 		s.RunningCores <= (s.Nodes-step)*s.CoresPerNode {
 		return -step
 	}
@@ -154,7 +120,7 @@ func (p *QueueDepthPolicy) Decide(s *AutoscaleSnapshot) int {
 // below LowWater once nothing waits. The watermark gap is the
 // hysteresis band, and Cooldown spaces consecutive resizes. Without
 // YARN metrics it falls back to the agent-level core utilization. The
-// zero value is the registry default.
+// zero value uses the defaults below.
 type UtilizationPolicy struct {
 	// HighWater and LowWater bound the target utilization band
 	// (defaults 0.80 and 0.25).
@@ -218,8 +184,8 @@ func (p *UtilizationPolicy) Decide(s *AutoscaleSnapshot) int {
 // Deadline: it estimates the outstanding work as core-time
 // (waiting + running cores, each for UnitDuration), divides by the time
 // left, and targets that many cores. Past the deadline it targets
-// MaxNodes. The zero value (registry default) estimates 30s per unit
-// and targets one hour of virtual time.
+// MaxNodes. The zero value estimates 30s per unit and targets one hour
+// of virtual time.
 type DeadlinePolicy struct {
 	// Deadline is the absolute virtual time the backlog should be done
 	// by (default: one hour).
@@ -294,22 +260,14 @@ type Autoscaler struct {
 type AutoscalerOption func(*autoscalerConfig)
 
 type autoscalerConfig struct {
-	policyName string
-	policy     AutoscalePolicy
-	min, max   int
-	interval   sim.Duration
+	policy   AutoscalePolicy
+	min, max int
+	interval sim.Duration
 }
 
-// WithAutoscalePolicy selects the policy by registered name (default:
-// AutoscaleQueueDepth). NewAutoscaler fails with
-// ErrUnknownAutoscalePolicy for names never registered.
-func WithAutoscalePolicy(name string) AutoscalerOption {
-	return func(c *autoscalerConfig) { c.policyName = name }
-}
-
-// WithAutoscalePolicyInstance supplies a configured policy value
-// directly (e.g. &DeadlinePolicy{Deadline: d}), bypassing the registry.
-func WithAutoscalePolicyInstance(p AutoscalePolicy) AutoscalerOption {
+// WithAutoscalePolicy sets the policy the Autoscaler decides with, e.g.
+// &DeadlinePolicy{Deadline: d} (default: &QueueDepthPolicy{}).
+func WithAutoscalePolicy(p AutoscalePolicy) AutoscalerOption {
 	return func(c *autoscalerConfig) { c.policy = p }
 }
 
@@ -342,11 +300,7 @@ func NewAutoscaler(um *UnitManager, pl *Pilot, opts ...AutoscalerOption) (*Autos
 	}
 	policy := cfg.policy
 	if policy == nil {
-		var err error
-		policy, err = newAutoscalePolicy(cfg.policyName)
-		if err != nil {
-			return nil, err
-		}
+		policy = &QueueDepthPolicy{}
 	}
 	min, max := cfg.min, cfg.max
 	if min <= 0 {

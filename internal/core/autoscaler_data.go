@@ -1,31 +1,27 @@
 package core
 
-// AutoscaleDataAware is the data-aware autoscale policy: capacity grows
-// where the data already is. It reads the shared ClusterView to find the
-// pilot whose attached data store holds the most bytes behind the
-// waiting units' Inputs, and grows its own pilot only when it is that
-// one — the Pilot-Data analogue of the co-locate unit scheduler, one
-// level up: instead of moving compute to data at bind time, it moves
-// *capacity* to data at resize time. With per-pilot autoscalers sharing
-// one machine, the pilots holding cold stores hold their allocation
-// instead of racing the hot pilot for free nodes.
+// AutoscaleDataAware names the data-aware policy, DataAwarePolicy:
+// capacity grows where the data already is. It reads the shared
+// ClusterView to find the pilot whose attached data store holds the
+// most bytes behind the waiting units' Inputs, and grows its own pilot
+// only when it is that one — the Pilot-Data analogue of the co-locate
+// unit scheduler, one level up: instead of moving compute to data at
+// bind time, it moves *capacity* to data at resize time. With per-pilot
+// autoscalers sharing one machine, the pilots holding cold stores hold
+// their allocation instead of racing the hot pilot for free nodes.
 const AutoscaleDataAware = "data-aware"
 
 // DataAwarePolicy grows the pilot holding the most bytes behind the
 // pending units' Inputs rather than the least-loaded one. Backlog
-// gating and the shrink-when-idle behaviour mirror QueueDepthPolicy, so
+// gating and the shrink-when-idle behaviour are QueueDepthPolicy's, so
 // on workloads without data (or on managers without data pilots) the
-// policy degrades to exactly queue-depth. The zero value is the
-// registry default.
+// policy degrades to exactly queue-depth.
 type DataAwarePolicy struct {
 	// Threshold is waiting units per live core above which the policy
 	// considers growing (default 1.0).
 	Threshold float64
 	// GrowStep is the number of nodes added per decision (default 1).
 	GrowStep int
-	// KeepIdle disables the shrink-when-idle behaviour, pinning grown
-	// capacity until the pilot ends.
-	KeepIdle bool
 }
 
 // Name implements AutoscalePolicy.
@@ -33,36 +29,14 @@ func (*DataAwarePolicy) Name() string { return AutoscaleDataAware }
 
 // Decide implements AutoscalePolicy.
 func (p *DataAwarePolicy) Decide(s *AutoscaleSnapshot) int {
-	threshold := p.Threshold
-	if threshold <= 0 {
-		threshold = 1.0
-	}
-	step := p.GrowStep
-	if step <= 0 {
-		step = 1
-	}
-	if s.TotalCores > 0 && float64(s.WaitingUnits)/float64(s.TotalCores) > threshold {
-		if s.View != nil {
-			if hot := s.View.HottestDataPilot(); hot != nil {
-				if hot.Pilot == s.Pilot {
-					return step
-				}
-				// Another pilot holds the data behind the backlog: hold
-				// this one's size and leave the free nodes to the hot
-				// pilot's autoscaler.
-				return 0
-			}
+	delta := backlogDelta(s, p.Threshold, p.GrowStep)
+	if delta > 0 && s.View != nil {
+		if hot := s.View.HottestDataPilot(); hot != nil && hot.Pilot != s.Pilot {
+			// Another pilot holds the data behind the backlog: hold this
+			// one's size and leave the free nodes to the hot pilot's
+			// autoscaler.
+			return 0
 		}
-		// No data signal behind the backlog: grow like queue-depth.
-		return step
 	}
-	if !p.KeepIdle && s.WaitingUnits == 0 && s.Nodes-step >= s.MinNodes &&
-		s.RunningCores <= (s.Nodes-step)*s.CoresPerNode {
-		return -step
-	}
-	return 0
-}
-
-func init() {
-	autoscalePolicies.MustRegister(AutoscaleDataAware, func() AutoscalePolicy { return &DataAwarePolicy{} })
+	return delta
 }

@@ -190,29 +190,18 @@ func (um *UnitManager) settleFlight(u *Unit, st UnitState) bool {
 }
 
 // requeueWaiter sends a coalesced waiter whose leader failed back
-// through the ordinary submit path: inputs are watched (the leader may
-// have died before producing anything), and the unit either parks in
-// UnitPendingInput, joins the bind queue, or fails on a retired input —
-// the same three-way split Submit performs. It deliberately does not
-// retry the cache: waiters of a failed leader execute independently
-// rather than pile onto another flight.
+// through Submit's admission (the leader may have died before producing
+// anything). It deliberately does not retry the cache: waiters of a
+// failed leader execute independently rather than pile onto another
+// flight.
 func (um *UnitManager) requeueWaiter(u *Unit) {
 	if u.State().Final() {
 		return
 	}
-	unresolved, err := um.watchInputs(u)
-	switch {
-	case err != nil:
-		u.fail(err)
-	case unresolved > 0:
-		u.unresolved = int32(unresolved)
-		um.setAcct(u, acctHeld, nil)
-		um.recordHold(u, unresolved)
-		u.advance(UnitPendingInput)
+	switch um.admit(u) {
+	case UnitPendingInput:
 		um.bumpGen()
-	default:
-		u.advance(UnitSchedulingUM)
-		um.enqueueUnit(u, false)
+	case UnitSchedulingUM:
 		um.kick()
 	}
 }

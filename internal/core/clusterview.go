@@ -59,10 +59,10 @@ type ClusterView struct {
 	byPilot map[*Pilot]*PilotView
 }
 
-// PilotView is one pilot's slice of the ClusterView. Its Waiting,
-// Running, Done and Failed counts are the Unit-Manager's ledger row for
-// the pilot, current at every instant; the remaining fields are probes
-// refreshed on each read.
+// PilotView is one pilot's slice of the ClusterView. Its Waiting and
+// Running counts are the Unit-Manager's ledger row for the pilot,
+// current at every instant; the remaining fields are probes refreshed
+// on each read.
 type PilotView struct {
 	// Pilot is the viewed pilot; State its state at read time.
 	Pilot *Pilot
@@ -75,11 +75,6 @@ type PilotView struct {
 	// and Nodes × CoresPerNode otherwise — both track elastic resizes.
 	// Zero means the capacity is unknown.
 	TotalCores int
-	// DoneUnits and FailedUnits are the pilot's lifetime completion
-	// counters — units bound here that reached DONE, or FAILED/CANCELED.
-	// Always-on and O(1) per transition, so accounting costs nothing
-	// when no recorder or registry is attached.
-	DoneUnits, FailedUnits int64
 	// WaitingUnits/WaitingCores are the bound-but-not-yet-executing part
 	// of the in-flight load; RunningUnits/RunningCores the executing part.
 	WaitingUnits, WaitingCores int

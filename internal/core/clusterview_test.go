@@ -162,8 +162,9 @@ func TestClusterViewPersistent(t *testing.T) {
 		}
 		um.WaitAll(p, units)
 		same("after the unit finished", um.ClusterView())
-		if pv.DoneUnits != 1 || v.RunningUnits != 0 {
-			t.Errorf("after completion: done %d, running %d; want 1, 0", pv.DoneUnits, v.RunningUnits)
+		if units[0].State() != UnitDone || v.RunningUnits != 0 || pv.RunningUnits != 0 {
+			t.Errorf("after completion: unit %v, running %d (pilot %d); want DONE, 0 (0)",
+				units[0].State(), v.RunningUnits, pv.RunningUnits)
 		}
 		pl.Cancel()
 	})

@@ -51,8 +51,4 @@ var (
 	// pilot moves to PilotFailed with the wrapped cause in Pilot.Err, and
 	// units waiting for it fail over like on any other pilot death.
 	ErrBackendBootstrap = errors.New("backend bootstrap failed")
-
-	// ErrUnknownAutoscalePolicy reports a WithAutoscalePolicy option
-	// naming a policy never registered through RegisterAutoscalePolicy.
-	ErrUnknownAutoscalePolicy = errors.New("unknown autoscale policy")
 )

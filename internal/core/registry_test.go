@@ -7,8 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// confScheduler/confPolicy are inert placeholders the conformance suite
-// registers under temporary names.
+// confScheduler is an inert placeholder the conformance suite registers
+// under a temporary name.
 type confScheduler struct{}
 
 func (confScheduler) Name() string { return "conformance-sched" }
@@ -16,17 +16,12 @@ func (confScheduler) Pick(*sim.Proc, *Unit, []*PilotView) (*Pilot, error) {
 	return nil, nil
 }
 
-type confPolicy struct{}
-
-func (confPolicy) Name() string                  { return "conformance-policy" }
-func (confPolicy) Decide(*AutoscaleSnapshot) int { return 0 }
-
 // TestRegistryConformance runs the shared registry contract over the
-// three core registries — execution backends, unit schedulers,
-// autoscale policies — so the generic migration cannot regress any of
-// them: built-ins stay registered, names stay sorted, duplicate/empty/
-// nil registrations stay rejected, and unknown names keep matching the
-// pre-existing sentinels through errors.Is.
+// two core registries — execution backends and unit schedulers — so the
+// generic migration cannot regress either of them: built-ins stay
+// registered, names stay sorted, duplicate/empty/nil registrations stay
+// rejected, and unknown names keep matching the pre-existing sentinels
+// through errors.Is.
 func TestRegistryConformance(t *testing.T) {
 	t.Run("backends", func(t *testing.T) {
 		registrytest.Conformance(t, backends, ErrUnknownBackend,
@@ -38,10 +33,5 @@ func TestRegistryConformance(t *testing.T) {
 			[]string{SchedulerRoundRobin, SchedulerLeastLoaded, SchedulerBackfill,
 				SchedulerLocality, SchedulerCoLocate},
 			"conformance-sched", func() UnitScheduler { return confScheduler{} })
-	})
-	t.Run("autoscale-policies", func(t *testing.T) {
-		registrytest.Conformance(t, autoscalePolicies, ErrUnknownAutoscalePolicy,
-			[]string{AutoscaleQueueDepth, AutoscaleUtilization, AutoscaleDeadline, AutoscaleDataAware},
-			"conformance-policy", func() AutoscalePolicy { return confPolicy{} })
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/hdfs"
 	"repro/internal/hpc"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/saga"
 	"repro/internal/sim"
@@ -143,9 +142,6 @@ type Session struct {
 	resources map[string]*Resource
 	seed      int64
 	rec       *obs.Recorder
-	reg       *metrics.Registry
-	msrv      *obs.MetricsServer
-	err       error
 	nextPilot int
 	nextUnit  int
 	nextUM    int
@@ -175,34 +171,6 @@ func (s *Session) AttachRecorder(r *obs.Recorder) { s.rec = r }
 
 // Recorder returns the attached flight recorder (nil when none).
 func (s *Session) Recorder() *obs.Recorder { return s.rec }
-
-// AttachMetrics associates a metrics registry (and optionally the
-// exposition server publishing it) with the session so callers holding
-// only the session can reach the telemetry plane. The registry is
-// populated by an obs.Bridge hooked into the session's recorder — this
-// method only records the association.
-func (s *Session) AttachMetrics(reg *metrics.Registry, srv *obs.MetricsServer) {
-	s.reg = reg
-	s.msrv = srv
-}
-
-// Metrics returns the attached metrics registry (nil when none).
-func (s *Session) Metrics() *metrics.Registry { return s.reg }
-
-// MetricsServer returns the attached exposition server (nil when none).
-func (s *Session) MetricsServer() *obs.MetricsServer { return s.msrv }
-
-// SetErr records a failure met while the session was being built, such
-// as a telemetry endpoint that could not listen. The first one is kept.
-func (s *Session) SetErr(err error) {
-	if s.err == nil {
-		s.err = err
-	}
-}
-
-// Err reports the failure recorded by SetErr, nil when the session was
-// built without one.
-func (s *Session) Err() error { return s.err }
 
 // FileTransfer returns the session's SAGA transfer facade — the path
 // Compute-Unit and Data-Unit staging runs over.

@@ -253,10 +253,9 @@ type UnitManager struct {
 // setAcct moves u to ledger phase phase, counted in the pilot row pv
 // (bound phases only). It is the only code that mutates in-flight
 // counts: it moves the unit's demand between the view's Held counts and
-// its pilot rows' Waiting/Running counts, keeps the live set, and
-// credits a unit leaving its pilot row in a final state to the row's
-// lifetime Done/Failed counters — so every transition path (submit,
-// hold, release, bind, execute, final) stays balanced by construction.
+// its pilot rows' Waiting/Running counts and keeps the live set, so
+// every transition path (submit, hold, release, bind, execute, final)
+// stays balanced by construction.
 // The auditView cross-check re-derives the counts by full walk in tests.
 func (um *UnitManager) setAcct(u *Unit, phase acctPhase, pv *PilotView) {
 	if u.acct == phase && u.acctView == pv {
@@ -264,13 +263,6 @@ func (um *UnitManager) setAcct(u *Unit, phase acctPhase, pv *PilotView) {
 	}
 	wasLive := u.acct >= acctHeld
 	um.count(u, -1)
-	if old := u.acctView; old != nil && u.state.Final() {
-		if u.state == UnitDone {
-			old.DoneUnits++
-		} else {
-			old.FailedUnits++
-		}
-	}
 	u.acct, u.acctView = phase, pv
 	um.count(u, 1)
 	switch isLive := phase >= acctHeld; {
@@ -732,31 +724,41 @@ func (um *UnitManager) Submit(p *sim.Proc, descs []ComputeUnitDescription) ([]*U
 			units = append(units, u)
 			continue
 		}
-		unresolved, err := um.watchInputs(u)
-		switch {
-		case err != nil:
-			// An input already retired unread: the unit can never run.
-			// Failing it here runs the final-state hook (unitEntered),
-			// which cancels the unit's own still-new outputs — the failure
-			// cascades down a dependency graph at submission time.
-			u.fail(err)
-		case unresolved > 0:
-			// Dependency-aware late binding: the unit is not offered to
-			// the policy until every input Data-Unit is replicated. The
-			// watch callbacks release (or fail) it.
-			u.unresolved = int32(unresolved)
-			um.setAcct(u, acctHeld, nil)
-			um.recordHold(u, unresolved)
-			u.advance(UnitPendingInput)
-		default:
-			u.advance(UnitSchedulingUM)
-			um.enqueueUnit(u, false)
-		}
+		um.admit(u)
 		units = append(units, u)
 	}
 	um.notifyObservers() // autoscalers see the new backlog
 	um.schedulePass(p)
 	return units, nil
+}
+
+// admit sends a unit the result cache did not take through the input
+// check: it fails on an input that retired unread, holds in
+// UnitPendingInput while inputs are unreplicated, and otherwise joins
+// the bind queue. It returns the state the unit was sent to.
+func (um *UnitManager) admit(u *Unit) UnitState {
+	unresolved, err := um.watchInputs(u)
+	switch {
+	case err != nil:
+		// An input already retired unread: the unit can never run.
+		// Failing it here runs the final-state hook (unitEntered),
+		// which cancels the unit's own still-new outputs — the failure
+		// cascades down a dependency graph at submission time.
+		u.fail(err)
+		return UnitFailed
+	case unresolved > 0:
+		// Dependency-aware late binding: the unit is not offered to
+		// the policy until every input Data-Unit is replicated. The
+		// watch callbacks release (or fail) it.
+		u.unresolved = int32(unresolved)
+		um.setAcct(u, acctHeld, nil)
+		um.recordHold(u, unresolved)
+		u.advance(UnitPendingInput)
+		return UnitPendingInput
+	}
+	u.advance(UnitSchedulingUM)
+	um.enqueueUnit(u, false)
+	return UnitSchedulingUM
 }
 
 // unitEntered is the manager's own hook on every state a unit it

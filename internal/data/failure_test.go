@@ -137,6 +137,81 @@ func TestFailPilotDuringStaging(t *testing.T) {
 	}
 }
 
+// TestStageAbandonFreesPlacedReplicas: a staging that ends early must
+// not leave replicas behind. A Cancel that lands while the second
+// replica is being copied deletes both once the copy returns, and a
+// copy that fails frees the first replica, so the stores' occupancy
+// returns to what it was.
+func TestStageAbandonFreesPlacedReplicas(t *testing.T) {
+	const size = 512 << 20
+	t.Run("cancel mid-copy", func(t *testing.T) {
+		e, _, dm := newTestManager(t)
+		a := addMemPilot(t, dm, "a", 1<<31)
+		b := addMemPilot(t, dm, "b", 1<<31)
+		du, err := dm.Declare(UnitDescription{Name: "/d/canceled", SizeBytes: size, Replication: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stageErr error
+		e.Spawn("stager", func(p *sim.Proc) { stageErr = dm.Stage(p, du) })
+		e.Spawn("canceler", func(p *sim.Proc) {
+			// Cancel once the first replica is placed, while the copy to
+			// the second store is in flight.
+			for len(du.Replicas()) != 1 {
+				if du.State() == StateReplicated || du.State().Final() {
+					t.Error("staging ended before the first replica was placed alone")
+					return
+				}
+				p.Sleep(1e6)
+			}
+			dm.Cancel(du)
+		})
+		e.Run()
+		if !errors.Is(stageErr, ErrUnavailable) {
+			t.Fatalf("Stage after a mid-copy Cancel = %v, want ErrUnavailable", stageErr)
+		}
+		if du.State() != StateCanceled || len(du.Replicas()) != 0 {
+			t.Errorf("unit = %v with %d replicas, want CANCELED with none", du.State(), len(du.Replicas()))
+		}
+		if a.Store().UsedBytes() != 0 || b.Store().UsedBytes() != 0 {
+			t.Errorf("used bytes after cancel: a=%d b=%d, want 0 and 0",
+				a.Store().UsedBytes(), b.Store().UsedBytes())
+		}
+	})
+	t.Run("failed copy", func(t *testing.T) {
+		e, _, dm := newTestManager(t)
+		a := addMemPilot(t, dm, "a", 1<<31)
+		b := addMemPilot(t, dm, "b", size)
+		du, err := dm.Declare(UnitDescription{Name: "/d/uncopied", SizeBytes: size, Replication: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stageErr error
+		e.Spawn("stager", func(p *sim.Proc) { stageErr = dm.Stage(p, du) })
+		e.Spawn("filler", func(p *sim.Proc) {
+			// After placement chose b, take one byte of it so the copy
+			// to b no longer fits.
+			p.Sleep(1e6)
+			if err := b.Store().Ingest(p, "/d/filler", 1, nil); err != nil {
+				t.Error(err)
+			}
+		})
+		e.Run()
+		if !errors.Is(stageErr, ErrStoreFull) {
+			t.Fatalf("Stage with a failing copy = %v, want ErrStoreFull", stageErr)
+		}
+		if du.State() != StateFailed || len(du.Replicas()) != 0 {
+			t.Errorf("unit = %v with %d replicas, want FAILED with none", du.State(), len(du.Replicas()))
+		}
+		if a.Store().UsedBytes() != 0 || a.Store().Has("/d/uncopied") {
+			t.Errorf("first replica kept after the failed copy: a holds %d bytes", a.Store().UsedBytes())
+		}
+		if got := b.Store().UsedBytes(); got != 1 {
+			t.Errorf("b holds %d bytes, want only the 1-byte filler", got)
+		}
+	})
+}
+
 // TestCacheReplicaSemantics: a cached copy reads like a replica but is
 // excluded from Replicas(), refuses to overflow a bounded store, and is
 // promoted to a full replica when the primary holder dies.

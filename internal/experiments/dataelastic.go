@@ -83,7 +83,7 @@ func RunDataElasticComparison(seed int64) ([]*DataElasticRow, error) {
 
 // dataElasticPolicy builds one cell's policy instance, tuned for the
 // burst the same way the elastic comparison tunes its cells (the
-// registry defaults are deliberately conservative). Each autoscaler
+// zero-value defaults are deliberately conservative). Each autoscaler
 // gets its own instance.
 func dataElasticPolicy(name string) pilot.AutoscalePolicy {
 	switch name {
@@ -171,7 +171,7 @@ func runDataElasticCell(policy string, seed int64) (*DataElasticRow, error) {
 		var scalers []*pilot.Autoscaler
 		for _, pl := range pilots {
 			as, err := pilot.NewAutoscaler(um, pl,
-				pilot.WithAutoscalePolicyInstance(dataElasticPolicy(policy)),
+				pilot.WithAutoscalePolicy(dataElasticPolicy(policy)),
 				pilot.WithAutoscaleBounds(dataElasticBaseNodes, dataElasticMaxNodes),
 				pilot.WithAutoscaleInterval(5*time.Second),
 			)

@@ -62,7 +62,7 @@ const (
 )
 
 // elasticPolicies returns the autoscaled cells: each built-in policy,
-// tuned for the burst (the registry defaults are deliberately
+// tuned for the burst (the zero-value defaults are deliberately
 // conservative).
 func elasticPolicies() map[string]pilot.AutoscalePolicy {
 	return map[string]pilot.AutoscalePolicy{
@@ -132,7 +132,7 @@ func runElasticCell(name string, policy pilot.AutoscalePolicy, seed int64) (*Ela
 		var as *pilot.Autoscaler
 		if policy != nil {
 			as, err = pilot.NewAutoscaler(um, pl,
-				pilot.WithAutoscalePolicyInstance(policy),
+				pilot.WithAutoscalePolicy(policy),
 				pilot.WithAutoscaleBounds(elasticBaseNodes, elasticMaxNodes),
 				pilot.WithAutoscaleInterval(5*time.Second),
 			)

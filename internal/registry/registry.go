@@ -1,12 +1,12 @@
 // Package registry provides the one generic name→value registry behind
-// every pluggable seam of the pilot stack. Execution backends, unit
-// schedulers, autoscale policies and data backends each used to
-// hand-roll the same ~45 lines of validate/list/lookup; they are now
-// all instances of Registry[T], so the next seam is a one-liner:
+// every seam of the pilot stack that is selected by name. Execution
+// backends, unit schedulers and data backends each used to hand-roll
+// the same ~45 lines of validate/list/lookup; they are now all
+// instances of Registry[T], so the next seam is a one-liner:
 //
 //	var widgets = registry.New[func() Widget]("core", "widget", ErrUnknownWidget)
 //
-// A Registry preserves the registry contract the four original
+// A Registry preserves the registry contract the original
 // implementations established: nil values, empty names and duplicates
 // are rejected at Register time; Names lists sorted; Lookup wraps the
 // registry's unknown-name sentinel so callers keep branching with

@@ -106,7 +106,7 @@ func NewDataManager(s *Session) *DataManager { return core.NewDataManager(s) }
 
 // RegisterDataBackend adds a data backend under name, the key a
 // DataPilotDescription selects it by — the Pilot-Data analogue of
-// RegisterBackend, RegisterUnitScheduler and RegisterAutoscalePolicy.
+// RegisterBackend and RegisterUnitScheduler.
 // Volume-backed backends can provision through NewVolumeDataStore:
 //
 //	pilot.RegisterDataBackend("scratch", func() pilot.DataBackend { return scratchBackend{} })

@@ -52,11 +52,12 @@
 //     agent scheduler), and shrinks drain-then-release: running units
 //     always finish before nodes are surrendered. Pilot.Capacity
 //     reports the current size and the transient PilotResizing state
-//     marks a resize in flight. The Autoscaler drives Resize from a
-//     pluggable AutoscalePolicy — built-ins "queue-depth",
-//     "utilization" and "deadline"; register new ones with
-//     RegisterAutoscalePolicy — as a kick-driven control loop wired to
-//     the Unit-Manager's scheduling events. Backends opt in by
+//     marks a resize in flight. The Autoscaler drives Resize from the
+//     AutoscalePolicy value passed to WithAutoscalePolicy — built-ins
+//     QueueDepthPolicy (the default), UtilizationPolicy, DeadlinePolicy
+//     and DataAwarePolicy, or any type implementing the interface — as
+//     a kick-driven control loop wired to the Unit-Manager's
+//     scheduling events. Backends opt in by
 //     implementing ElasticBackend; Resize on backends that do not
 //     (Spark) fails with ErrNotElastic.
 //
@@ -221,14 +222,14 @@
 // unit_duration_seconds), autoscale applications, cache ops, and
 // replica traffic in operations and bytes.
 //
-// WithMetricsAddr("127.0.0.1:9090") makes a session serve its
-// registry over HTTP for the lifetime of the process: GET /metrics
-// returns Prometheus text exposition format (0.0.4), GET /debug/pilot
-// the same registry as JSON. The option ensures a recorder exists,
-// bridges it into a fresh registry, and records a listen failure on
-// the session for Session.Err; Session.Metrics and Session.MetricsServer
-// expose the pieces, and ServeMetrics serves any registry standalone. The
-// cmd/repro harness wires the same plumbing with -metrics addr
+// ServeMetrics("127.0.0.1:9090", reg) serves a registry over HTTP
+// until the returned server is closed, and returns a listen failure as
+// its error: GET /metrics returns Prometheus text exposition format
+// (0.0.4), GET /debug/pilot the same registry as JSON. A live session
+// endpoint is NewRecorder, a bridge hooked on with OnRecord,
+// ServeMetrics, and the recorder passed to NewSession through
+// WithRecorder. The cmd/repro harness wires the same path with
+// -metrics addr
 // (add -linger to keep the endpoint up after the experiments finish),
 // and its "scale" subcommand sweeps a backfill workload across
 // 10²–10⁵ units, writing per-scale throughput, bind-pass and
@@ -273,18 +274,17 @@
 // took throughput from about 1,760 to about 12,200 units/sec, with
 // identical virtual-time results.
 //
-// Every pluggable seam above — execution backends, unit schedulers,
-// autoscale policies, data backends — is one instance of the same
-// generic registry (internal/registry): duplicate, empty and nil
-// registrations are rejected, names list sorted, and unknown names wrap
-// the seam's sentinel for errors.Is. Registering the next seam is a
-// one-liner.
+// Every seam selected by name — execution backends, unit schedulers,
+// data backends — is one instance of the same generic registry
+// (internal/registry): duplicate, empty and nil registrations are
+// rejected, names list sorted, and unknown names wrap the seam's
+// sentinel for errors.Is. Registering the next seam is a one-liner.
 //
 // Failure modes carry typed causes: match Submit errors, Resize errors
 // and Unit.Err against the ErrNoPilots, ErrNoLivePilot,
 // ErrUnschedulable, ErrUnknownScheduler, ErrUnknownResource,
-// ErrUnknownBackend, ErrNotElastic, ErrPilotFinal and
-// ErrUnknownAutoscalePolicy sentinels with errors.Is. A pilot whose
+// ErrUnknownBackend, ErrNotElastic and ErrPilotFinal sentinels with
+// errors.Is. A pilot whose
 // backend cannot bootstrap reaches PilotFailed with Pilot.Err wrapping
 // ErrBackendBootstrap and the backend's own error, and units waiting
 // for it fail over like on any other pilot death. The Pilot-Data

@@ -25,10 +25,9 @@ type (
 	// ResizeRecord is one applied resize in an Autoscaler's history.
 	ResizeRecord = core.ResizeRecord
 
-	// QueueDepthPolicy, UtilizationPolicy and DeadlinePolicy are the
-	// built-in autoscale policies, exported so callers can configure
-	// them via WithAutoscalePolicyInstance or register tuned variants
-	// under their own names.
+	// QueueDepthPolicy, UtilizationPolicy and DeadlinePolicy are
+	// built-in autoscale policies; configure one and pass it to
+	// WithAutoscalePolicy.
 	QueueDepthPolicy  = core.QueueDepthPolicy
 	UtilizationPolicy = core.UtilizationPolicy
 	DeadlinePolicy    = core.DeadlinePolicy
@@ -39,8 +38,8 @@ type (
 // resize completes.
 const PilotResizing = core.PilotResizing
 
-// The built-in autoscale policies selectable through
-// WithAutoscalePolicy; see the core constants for their semantics.
+// The built-in autoscale policies' names, which label autoscale events
+// and metrics; see the core constants for their semantics.
 const (
 	AutoscaleQueueDepth  = core.AutoscaleQueueDepth
 	AutoscaleUtilization = core.AutoscaleUtilization
@@ -55,15 +54,10 @@ func NewAutoscaler(um *UnitManager, pl *Pilot, opts ...AutoscalerOption) (*Autos
 	return core.NewAutoscaler(um, pl, opts...)
 }
 
-// WithAutoscalePolicy selects the autoscale policy by registered name
-// (default: AutoscaleQueueDepth).
-func WithAutoscalePolicy(name string) AutoscalerOption { return core.WithAutoscalePolicy(name) }
-
-// WithAutoscalePolicyInstance supplies a configured policy value
-// directly, e.g. &pilot.DeadlinePolicy{Deadline: d}.
-func WithAutoscalePolicyInstance(p AutoscalePolicy) AutoscalerOption {
-	return core.WithAutoscalePolicyInstance(p)
-}
+// WithAutoscalePolicy sets the autoscale policy, e.g.
+// &pilot.DeadlinePolicy{Deadline: d} (default: &pilot.QueueDepthPolicy{}).
+// Give each Autoscaler its own instance: policies may keep state.
+func WithAutoscalePolicy(p AutoscalePolicy) AutoscalerOption { return core.WithAutoscalePolicy(p) }
 
 // WithAutoscaleBounds clamps the pilot size to [min, max] nodes.
 func WithAutoscaleBounds(min, max int) AutoscalerOption { return core.WithAutoscaleBounds(min, max) }
@@ -71,21 +65,3 @@ func WithAutoscaleBounds(min, max int) AutoscalerOption { return core.WithAutosc
 // WithAutoscaleInterval adds a periodic re-evaluation every d of
 // virtual time on top of the kick-driven wakeups.
 func WithAutoscaleInterval(d sim.Duration) AutoscalerOption { return core.WithAutoscaleInterval(d) }
-
-// RegisterAutoscalePolicy adds an autoscale policy under name, the key
-// WithAutoscalePolicy selects it by — the elasticity analogue of
-// RegisterBackend and RegisterUnitScheduler:
-//
-//	pilot.RegisterAutoscalePolicy("aggressive", func() pilot.AutoscalePolicy {
-//		return &pilot.QueueDepthPolicy{Threshold: 0.25, GrowStep: 2}
-//	})
-//
-// Registration fails on nil factories, empty names, and duplicates.
-func RegisterAutoscalePolicy(name string, factory func() AutoscalePolicy) error {
-	return core.RegisterAutoscalePolicy(name, factory)
-}
-
-// AutoscalePolicies lists the registered autoscale-policy names,
-// sorted. The built-ins ("data-aware", "deadline", "queue-depth",
-// "utilization") are always present.
-func AutoscalePolicies() []string { return core.AutoscalePolicies() }

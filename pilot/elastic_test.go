@@ -3,8 +3,6 @@ package pilot_test
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -354,8 +352,8 @@ func TestBackfillBindsDuringResize(t *testing.T) {
 	})
 }
 
-// ladderPolicy is the custom toy autoscale policy registered from the
-// test suite: grow one node whenever anything waits, release one once
+// ladderPolicy is a custom toy autoscale policy written against the
+// public API: grow one node whenever anything waits, release one once
 // idle.
 type ladderPolicy struct{}
 
@@ -371,27 +369,20 @@ func (ladderPolicy) Decide(s *pilot.AutoscaleSnapshot) int {
 	return 0
 }
 
-func registerLadder(t *testing.T) {
-	t.Helper()
-	err := pilot.RegisterAutoscalePolicy("toy-ladder", func() pilot.AutoscalePolicy { return ladderPolicy{} })
-	if err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
-}
-
-// TestAutoscalePolicyConformance drives every registered autoscale
-// policy — built-ins plus the toy ladder registered here — through a
-// backlogged workload and checks the common contract: every unit
-// completes, every applied resize stays within the configured bounds,
-// and the pilot survives to the end.
+// TestAutoscalePolicyConformance drives every built-in autoscale
+// policy, plus the toy ladder above, through a backlogged workload and
+// checks the common contract: the autoscaler reports the policy it was
+// given, every unit completes, every applied resize stays within the
+// configured bounds, and the pilot survives to the end.
 func TestAutoscalePolicyConformance(t *testing.T) {
-	registerLadder(t)
-	if !slices.Contains(pilot.AutoscalePolicies(), "toy-ladder") {
-		t.Fatalf("registry %v missing toy policy", pilot.AutoscalePolicies())
-	}
-	for _, name := range pilot.AutoscalePolicies() {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, policy := range []pilot.AutoscalePolicy{
+		&pilot.QueueDepthPolicy{},
+		&pilot.UtilizationPolicy{},
+		&pilot.DeadlinePolicy{},
+		&pilot.DataAwarePolicy{},
+		ladderPolicy{},
+	} {
+		t.Run(policy.Name(), func(t *testing.T) {
 			e := newTestEnv(t, 4)
 			e.run(t, func(p *sim.Proc) {
 				pm := pilot.NewPilotManager(e.session)
@@ -405,13 +396,16 @@ func TestAutoscalePolicyConformance(t *testing.T) {
 				um := newUM(t, e.session, pilot.WithScheduler(pilot.SchedulerBackfill))
 				um.AddPilot(pl)
 				as, err := pilot.NewAutoscaler(um, pl,
-					pilot.WithAutoscalePolicy(name),
+					pilot.WithAutoscalePolicy(policy),
 					pilot.WithAutoscaleBounds(1, 3),
 					pilot.WithAutoscaleInterval(2*time.Second),
 				)
 				if err != nil {
 					t.Error(err)
 					return
+				}
+				if got := as.Policy(); got != policy.Name() {
+					t.Errorf("Policy() = %q, want %q", got, policy.Name())
 				}
 				if !pl.WaitState(p, pilot.PilotActive) {
 					t.Errorf("pilot never active: %v", pl.State())
@@ -452,29 +446,9 @@ func TestAutoscalePolicyConformance(t *testing.T) {
 	}
 }
 
-// TestAutoscaleRegistryMirrorsOtherRegistries: same error contract as
-// the backend and unit-scheduler registries.
-func TestAutoscaleRegistryMirrorsOtherRegistries(t *testing.T) {
-	registerLadder(t)
-	err := pilot.RegisterAutoscalePolicy("toy-ladder", func() pilot.AutoscalePolicy { return ladderPolicy{} })
-	if err == nil || !strings.Contains(err.Error(), "already registered") {
-		t.Fatalf("duplicate registration accepted (err=%v)", err)
-	}
-	if err := pilot.RegisterAutoscalePolicy("nil-factory", nil); err == nil {
-		t.Fatal("nil factory accepted")
-	}
-	if err := pilot.RegisterAutoscalePolicy("", func() pilot.AutoscalePolicy { return ladderPolicy{} }); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	for _, want := range []string{"queue-depth", "utilization", "deadline"} {
-		if !slices.Contains(pilot.AutoscalePolicies(), want) {
-			t.Fatalf("registry %v missing built-in %q", pilot.AutoscalePolicies(), want)
-		}
-	}
-}
-
-// TestUnknownAutoscalePolicy: the error is typed and lists what exists.
-func TestUnknownAutoscalePolicy(t *testing.T) {
+// TestAutoscalerDefaultPolicy: without WithAutoscalePolicy the
+// autoscaler decides with the zero QueueDepthPolicy.
+func TestAutoscalerDefaultPolicy(t *testing.T) {
 	e := newTestEnv(t, 2)
 	e.run(t, func(p *sim.Proc) {
 		pm := pilot.NewPilotManager(e.session)
@@ -487,13 +461,15 @@ func TestUnknownAutoscalePolicy(t *testing.T) {
 		}
 		um := newUM(t, e.session)
 		um.AddPilot(pl)
-		_, err = pilot.NewAutoscaler(um, pl, pilot.WithAutoscalePolicy("no-such-policy"))
-		if !errors.Is(err, pilot.ErrUnknownAutoscalePolicy) {
-			t.Errorf("err = %v, want ErrUnknownAutoscalePolicy", err)
+		as, err := pilot.NewAutoscaler(um, pl)
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		if err == nil || !strings.Contains(err.Error(), "queue-depth") {
-			t.Errorf("error does not list registered policies: %v", err)
+		if got := as.Policy(); got != pilot.AutoscaleQueueDepth {
+			t.Errorf("default Policy() = %q, want %q", got, pilot.AutoscaleQueueDepth)
 		}
+		as.Stop()
 		pl.Cancel()
 	})
 }

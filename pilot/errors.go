@@ -50,8 +50,4 @@ var (
 	//
 	//	if errors.Is(pl.Err(), pilot.ErrBackendBootstrap) { ... }
 	ErrBackendBootstrap = core.ErrBackendBootstrap
-
-	// ErrUnknownAutoscalePolicy: WithAutoscalePolicy named a policy
-	// never registered through RegisterAutoscalePolicy.
-	ErrUnknownAutoscalePolicy = core.ErrUnknownAutoscalePolicy
 )

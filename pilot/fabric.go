@@ -22,11 +22,11 @@ type (
 
 	// DataAwarePolicy is the built-in autoscale policy that grows the
 	// pilot holding the most bytes behind the pending units' Inputs —
-	// capacity moves to the data. Exported like the other policy types
-	// so callers can configure it via WithAutoscalePolicyInstance.
+	// capacity moves to the data. Configure one and pass it to
+	// WithAutoscalePolicy.
 	DataAwarePolicy = core.DataAwarePolicy
 )
 
-// AutoscaleDataAware selects the data-aware autoscale policy through
-// WithAutoscalePolicy; see DataAwarePolicy.
+// AutoscaleDataAware is DataAwarePolicy's name, which labels its
+// autoscale events and metrics.
 const AutoscaleDataAware = core.AutoscaleDataAware

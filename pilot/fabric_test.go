@@ -186,11 +186,3 @@ func TestReplicaCacheMakesSecondPassLocal(t *testing.T) {
 		pl.Cancel()
 	})
 }
-
-// TestDataAwarePolicyRegistered: the new built-in is in the registry
-// alongside the others and selectable by name.
-func TestDataAwarePolicyRegistered(t *testing.T) {
-	if !slices.Contains(pilot.AutoscalePolicies(), pilot.AutoscaleDataAware) {
-		t.Fatalf("AutoscalePolicies() = %v, missing %q", pilot.AutoscalePolicies(), pilot.AutoscaleDataAware)
-	}
-}

@@ -15,11 +15,12 @@ import (
 	"repro/pilot"
 )
 
-// TestWithMetricsAddrEndToEnd drives a workload through the public API
-// with a live telemetry endpoint and scrapes it: /metrics must expose
-// per-pilot labeled accounting in Prometheus text, /debug/pilot the
-// same registry as JSON.
-func TestWithMetricsAddrEndToEnd(t *testing.T) {
+// TestMetricsEndToEnd drives a workload through the public API with a
+// live telemetry endpoint — a recorder bridged into a registry that
+// ServeMetrics exposes — and scrapes it: /metrics must expose per-pilot
+// labeled accounting in Prometheus text, /debug/pilot the same registry
+// as JSON.
+func TestMetricsEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
 	m := cluster.New(eng, testSpec(2))
 	b := hpc.NewBatch(m, hpc.Config{
@@ -29,16 +30,16 @@ func TestWithMetricsAddrEndToEnd(t *testing.T) {
 		DefaultWallTime: 4 * time.Hour,
 		Seed:            3,
 	})
+	rec := pilot.NewRecorder(eng)
+	reg := pilot.NewMetricsRegistry()
+	rec.OnRecord(pilot.NewMetricsBridge(reg).Apply)
+	srv, err := pilot.ServeMetrics("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	s := pilot.NewSession(eng,
-		pilot.WithProfile(fastProfile()), pilot.WithSeed(42),
-		pilot.WithMetricsAddr("127.0.0.1:0"))
-	if s.Recorder() == nil {
-		t.Fatal("WithMetricsAddr did not ensure a recorder")
-	}
-	if s.Metrics() == nil || s.MetricsServer() == nil {
-		t.Fatal("WithMetricsAddr did not attach registry and server")
-	}
-	defer s.MetricsServer().Close()
+		pilot.WithProfile(fastProfile()), pilot.WithSeed(42), pilot.WithRecorder(rec))
 	if err := s.AddResource(&pilot.Resource{Name: "tm", Machine: m, Batch: b}); err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,11 @@ func TestWithMetricsAddrEndToEnd(t *testing.T) {
 		pl.Cancel()
 	})
 
-	if got := s.Metrics().Total("pilot_units_done"); got != units {
+	if got := reg.Total("pilot_units_done"); got != units {
 		t.Fatalf("pilot_units_done total = %v; want %d", got, units)
 	}
 
-	base := "http://" + s.MetricsServer().Addr()
+	base := "http://" + srv.Addr()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -120,29 +121,20 @@ func TestWithMetricsAddrEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWithMetricsAddrListenFailureIsAnError: an address already in use
-// must not panic. The session records the failure for Err, keeps the
-// recorder and registry, and attaches no server.
-func TestWithMetricsAddrListenFailureIsAnError(t *testing.T) {
+// TestServeMetricsListenFailureIsAnError: an address already in use
+// must not panic; ServeMetrics returns the listen error and no server.
+func TestServeMetricsListenFailureIsAnError(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	s := pilot.NewSession(sim.NewEngine(), pilot.WithMetricsAddr(ln.Addr().String()))
-	if s.Err() == nil {
-		t.Fatal("listening on an occupied port: Err() = nil, want the listen error")
+	srv, err := pilot.ServeMetrics(ln.Addr().String(), pilot.NewMetricsRegistry())
+	if err == nil {
+		srv.Close()
+		t.Fatal("listening on an occupied port: err = nil, want the listen error")
 	}
-	if !strings.Contains(s.Err().Error(), "WithMetricsAddr") {
-		t.Fatalf("Err() = %q, want it to name the option", s.Err())
-	}
-	if s.MetricsServer() != nil {
-		t.Fatal("a server is attached although the listen failed")
-	}
-	if s.Recorder() == nil || s.Metrics() == nil {
-		t.Fatal("listen failure dropped the recorder or the registry")
-	}
-	if pilot.NewSession(sim.NewEngine()).Err() != nil {
-		t.Fatal("a session built without failures reports an error")
+	if srv != nil {
+		t.Fatal("a server is returned although the listen failed")
 	}
 }
